@@ -28,7 +28,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro import kernels
 from repro.algebra import LexOrder, Polynomial, PolynomialRing, reduce_polynomial
 from repro.gf import GF2m, poly2
 from repro.synth import mastrovito_multiplier, montgomery_multiplier
@@ -222,7 +221,6 @@ def main(argv=None) -> int:
     payload = {
         "meta": {
             "quick": args.quick,
-            "kernel": kernels.active_kernel(),
             "python": platform.python_version(),
             "platform": platform.platform(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),

@@ -27,9 +27,10 @@ plus the real cone reductions. The *steady* numbers (the ``seconds`` /
 what a resident daemon sees on repeat traffic: the context is already
 published and the workers' per-context memo answers from the previous
 sweep, which is exactly the economy the worker plane exists to buy.
-Forkpool-vs-plane dispatch overhead is measured separately on no-op maps
-(the ``dispatch_overhead`` section) — the fork pool pays a full
-fork+warm+teardown per map, the plane only a pipe round-trip.
+The plane's per-map dispatch overhead is measured separately on no-op
+maps (the ``dispatch_overhead`` section): a pipe round-trip, where the
+fork-per-map pool it replaced paid a full fork+warm+teardown (that pool's
+sweep stays in ``benchmarks/baselines/parallel_forkpool.json``).
 """
 
 from __future__ import annotations
@@ -82,40 +83,24 @@ def _time_extract(circuit, field, jobs, reps: int, warmup: int = 0):
 
 
 def noop(index):
-    """Module-level so the plane can pickle it (a closure would silently
-    fall back to the fork pool and void the comparison)."""
+    """Module-level so the plane can pickle it (a closure raises PoolError)."""
     return None, {}
 
 
 def bench_dispatch_overhead(reps: int = 5) -> dict:
-    """No-op map cost: resident plane versus fork-per-map pool."""
-    from repro.jobs.plane import reset_plane
-    from repro.jobs.pool import run_pool
+    """No-op map cost on the resident plane."""
+    from repro.jobs.plane import reset_plane, run_pool
 
-    run_pool(noop, [0], workers=2, engine="plane")  # spawn + publish untimed
-    plane_samples = []
+    run_pool(noop, [0], workers=2)  # spawn + publish untimed
+    samples = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        run_pool(noop, [0, 1], workers=2, engine="plane")
-        plane_samples.append(time.perf_counter() - t0)
-    fork_samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        run_pool(noop, [0, 1], workers=2, engine="forkpool")
-        fork_samples.append(time.perf_counter() - t0)
+        run_pool(noop, [0, 1], workers=2)
+        samples.append(time.perf_counter() - t0)
     reset_plane()
-    plane_ms = statistics.median(plane_samples) * 1e3
-    fork_ms = statistics.median(fork_samples) * 1e3
-    ratio = round(fork_ms / plane_ms, 1) if plane_ms else None
-    print(
-        f"dispatch overhead per map: forkpool {fork_ms:.1f} ms, "
-        f"plane {plane_ms:.3f} ms ({ratio}x lower)"
-    )
-    return {
-        "forkpool_ms": round(fork_ms, 3),
-        "plane_ms": round(plane_ms, 3),
-        "plane_advantage": ratio,
-    }
+    plane_ms = statistics.median(samples) * 1e3
+    print(f"dispatch overhead per map: plane {plane_ms:.3f} ms")
+    return {"plane_ms": round(plane_ms, 3)}
 
 
 def bench_size(k: int, workers, reps: int) -> dict:

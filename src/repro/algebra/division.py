@@ -7,11 +7,13 @@ Buchberger's algorithm and the paper's guided S-polynomial reduction.
 
 Two implementations live here:
 
-- the default, heap-based reducer: the work set is a dict shadowed by a
-  lazy-deletion min-heap of precomputed sort keys, so fetching the next
-  leading term is O(log T) instead of the O(T) ``min()`` scan — and divisor
-  lookup goes through :class:`DivisorIndex`, which buckets divisors by the
-  most significant variable of their leading monomial;
+- the heap-based reducer behind :func:`reduce_polynomial` (and, with a
+  quotient accumulator, :func:`divmod_polynomial`): the work set is a dict
+  shadowed by a lazy-deletion min-heap of precomputed sort keys, so
+  fetching the next leading term is O(log T) instead of the O(T) ``min()``
+  scan — and divisor lookup goes through :class:`DivisorIndex`, which
+  buckets divisors by the most significant variable of their leading
+  monomial;
 - :func:`reference_reduce_polynomial`, the original scan-based reducer,
   retained verbatim as the correctness oracle for the differential tests.
 
@@ -24,7 +26,6 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import kernels
 from ..obs import metrics, redtrace
 from .order import Monomial
 from .ring import Polynomial, PolynomialRing
@@ -68,8 +69,7 @@ class DivisorIndex:
     supports incremental growth (Buchberger appends basis elements).
     """
 
-    __slots__ = ("ring", "divisors", "leads", "buckets", "constants",
-                 "tails", "sortkey_memo")
+    __slots__ = ("ring", "divisors", "leads", "buckets", "constants")
 
     def __init__(self, ring: PolynomialRing, divisors: Sequence[Polynomial] = ()):
         self.ring = ring
@@ -80,13 +80,6 @@ class DivisorIndex:
         self.buckets: Dict[int, List[int]] = {}
         #: slots whose leading monomial is the constant 1
         self.constants: List[int] = []
-        #: slot -> (tail monomial column, tail coefficient column); split
-        #: lazily by the batched reducer on a slot's first hit
-        self.tails: Dict[int, tuple] = {}
-        #: monomial -> sort key; shared by every reduction run through this
-        #: index (Buchberger reuses one index across thousands of calls, so
-        #: re-introduced monomials hit instead of re-keying)
-        self.sortkey_memo: Dict[Monomial, tuple] = {}
         for g in divisors:
             self.add(g)
 
@@ -163,151 +156,24 @@ def reduce_polynomial(
 
     Pass a prebuilt :class:`DivisorIndex` via ``index`` to reuse it across
     many reductions (Buchberger does); otherwise one is built here.
-
-    Dispatches on the kernel switch: the batched reducer (default) splits
-    each divisor's tail once, scales it with one
-    :meth:`~repro.gf.GF2m.mul_vec` call per step and memoizes monomial
-    sort keys per call; ``REPRO_BATCH_KERNELS=0`` selects the retained
-    per-term legacy reducer. Both process the identical leading-monomial
-    sequence, so remainders, traces, ``divisor_hit`` events and
-    ``division.*`` step/peak metrics agree exactly.
     """
-    if kernels.batch_enabled():
-        return _reduce_polynomial_batched(f, divisors, trace, index)
-    return _reduce_polynomial_legacy(f, divisors, trace, index)
+    if index is None:
+        index = DivisorIndex(f.ring, divisors)
+    return _heap_reduce(f, index, trace)
 
 
-def _reduce_polynomial_batched(
+def _heap_reduce(
     f: Polynomial,
-    divisors: Sequence[Polynomial],
-    trace: Optional[DivisionTrace] = None,
-    index: Optional[DivisorIndex] = None,
+    index: DivisorIndex,
+    trace: Optional[DivisionTrace],
+    quotients: Optional[List[Dict[Monomial, int]]] = None,
 ) -> Polynomial:
-    """Heap reducer advancing one whole divisor tail per step.
-
-    Per hit divisor slot the tail is split once into a monomial column and
-    a coefficient column; a step then scales the whole coefficient column
-    at once — aliased when the step factor is 1 (the common case over
-    boolean-derived generators), through one
-    :meth:`~repro.gf.GF2m.mul_vec` call when the tail is long enough to
-    amortise it — and merges in a single sweep. Sort keys are memoized on
-    the :class:`DivisorIndex`, so the memo is shared by every reduction
-    run through one index (Buchberger reuses one across thousands of
-    calls); the ``division.sortkey_*`` counters expose the hit rate.
-    """
+    """The heap loop behind :func:`reduce_polynomial` and
+    :func:`divmod_polynomial`; ``quotients`` (one dict per index slot)
+    accumulates each step's ``(coeff/lc) * (monomial/lm)`` factor."""
     ring = f.ring
     field = ring.field
     sort_key = ring.order.sort_key
-    if index is None:
-        index = DivisorIndex(ring, divisors)
-    divisor_list = index.divisors
-    leads = index.leads
-    find = index.find
-    monomial_div = ring.monomial_div
-    monomial_mul = ring.monomial_mul
-    mul_vec = field.mul_vec
-    fmul = field.mul
-    work: Dict[Monomial, int] = dict(f.terms)
-    wget = work.get
-    keymemo = index.sortkey_memo
-    memo_get = keymemo.get
-    lookups = len(work)
-    misses = 0
-    heap = []
-    heap_append = heap.append
-    for m in work:
-        k = memo_get(m)
-        if k is None:
-            keymemo[m] = k = sort_key(m)
-            misses += 1
-        heap_append((k, m))
-    heapify(heap)
-    remainder: Dict[Monomial, int] = {}
-    steps = 0
-    peak_terms = 0
-    tails = index.tails
-    rtw = redtrace.active_writer()
-    while heap:
-        monomial = heappop(heap)[1]
-        coeff = work.pop(monomial, None)
-        if coeff is None:
-            continue  # stale heap entry: the term cancelled earlier
-        slot = find(monomial)
-        if rtw is not None and slot is not None:
-            rtw.emit("divisor_hit", slot=slot, m=monomial)
-        steps += 1
-        size = len(work) + len(remainder)
-        if size > peak_terms:
-            peak_terms = size
-        if trace is not None:
-            trace.observe(size)
-        if slot is None:
-            remainder[monomial] = coeff
-            continue
-        cached = tails.get(slot)
-        if cached is None:
-            g = divisor_list[slot]
-            lm0 = leads[slot][0]
-            items = [(m, c) for m, c in g.terms.items() if m != lm0]
-            tails[slot] = cached = (
-                [m for m, _ in items],
-                [c for _, c in items],
-            )
-        tail_monos, tail_coeffs = cached
-        lm, lc = leads[slot]
-        factor_monomial = monomial_div(monomial, lm)
-        factor_coeff = field.div(coeff, lc)
-        # work -= (coeff/lc) * (monomial/lm) * g ; the leading terms cancel
-        # by construction, so only the pre-split tail is advanced. The
-        # coefficient column is aliased when the step factor is 1, scaled
-        # in one mul_vec call when the tail is long enough to amortise it,
-        # and scaled in-loop otherwise (a listcomp would cost a frame per
-        # step on tails of two or three terms).
-        scale = factor_coeff != 1
-        ccs = tail_coeffs
-        if scale and len(tail_coeffs) >= 8:
-            ccs = mul_vec(tail_coeffs, factor_coeff)
-            scale = False
-        for m, cc in zip(tail_monos, ccs):
-            if scale:
-                cc = fmul(cc, factor_coeff)
-            key = monomial_mul(m, factor_monomial)
-            cur = wget(key)
-            if cur is None:
-                work[key] = cc
-                lookups += 1
-                k = memo_get(key)
-                if k is None:
-                    keymemo[key] = k = sort_key(key)
-                    misses += 1
-                heappush(heap, (k, key))
-            else:
-                merged = cur ^ cc
-                if merged:
-                    work[key] = merged  # heap entry already present
-                else:
-                    del work[key]  # its heap entry goes stale
-    if metrics.is_enabled():
-        metrics.counter_add(metrics.DIVISION_CALLS, 1)
-        metrics.counter_add(metrics.DIVISION_STEPS, steps)
-        metrics.gauge_max(metrics.DIVISION_PEAK_TERMS, peak_terms)
-        metrics.counter_add(metrics.DIVISION_SORTKEY_LOOKUPS, lookups)
-        metrics.counter_add(metrics.DIVISION_SORTKEY_HITS, lookups - misses)
-    return Polynomial(ring, remainder)
-
-
-def _reduce_polynomial_legacy(
-    f: Polynomial,
-    divisors: Sequence[Polynomial],
-    trace: Optional[DivisionTrace] = None,
-    index: Optional[DivisorIndex] = None,
-) -> Polynomial:
-    """The pre-batching heap reducer, kept verbatim as the oracle."""
-    ring = f.ring
-    field = ring.field
-    sort_key = ring.order.sort_key
-    if index is None:
-        index = DivisorIndex(ring, divisors)
     divisor_list = index.divisors
     leads = index.leads
     find = index.find
@@ -343,6 +209,9 @@ def _reduce_polynomial_legacy(
         lm, lc = leads[slot]
         factor_monomial = monomial_div(monomial, lm)
         factor_coeff = field.div(coeff, lc)
+        if quotients is not None:
+            q = quotients[slot]
+            q[factor_monomial] = q.get(factor_monomial, 0) ^ factor_coeff
         # work -= (coeff/lc) * (monomial/lm) * g ; the leading terms cancel
         # by construction, so iterate only over the tail of g.
         for m, c in g.terms.items():
@@ -424,68 +293,29 @@ def reference_reduce_polynomial(
 
 
 def divmod_polynomial(
-    f: Polynomial, divisors: Sequence[Polynomial]
+    f: Polynomial,
+    divisors: Sequence[Polynomial],
+    trace: Optional[DivisionTrace] = None,
 ) -> Tuple[List[Polynomial], Polynomial]:
     """Division with quotients: ``f = sum(q_i * g_i) + r``.
 
-    Same heap strategy as :func:`reduce_polynomial` but records the
-    quotients, giving the ideal-membership certificate used by the Lv-style
-    baseline. Quotient slots line up with the *input* divisor sequence
-    (zero divisors get zero quotients).
+    The :func:`reduce_polynomial` heap loop with a quotient accumulator,
+    giving the ideal-membership certificate used by the Lv-style baseline.
+    Quotient slots line up with the *input* divisor sequence (zero divisors
+    get zero quotients).
     """
     ring = f.ring
-    field = ring.field
-    sort_key = ring.order.sort_key
     index = DivisorIndex(ring)
     origin: List[int] = []  # index slot -> position in the input sequence
     for i, g in enumerate(divisors):
         if not g.is_zero():
             index.add(g)
             origin.append(i)
-    divisor_list = index.divisors
-    leads = index.leads
-    find = index.find
-    quotients: List[Dict[Monomial, int]] = [dict() for _ in divisors]
-    work: Dict[Monomial, int] = dict(f.terms)
-    heap = [(sort_key(m), m) for m in work]
-    heapify(heap)
-    remainder: Dict[Monomial, int] = {}
-    steps = 0
-    while heap:
-        monomial = heappop(heap)[1]
-        coeff = work.pop(monomial, None)
-        if coeff is None:
-            continue
-        steps += 1
-        slot = find(monomial)
-        if slot is None:
-            remainder[monomial] = coeff
-            continue
-        g = divisor_list[slot]
-        lm, lc = leads[slot]
-        factor_monomial = ring.monomial_div(monomial, lm)
-        factor_coeff = field.div(coeff, lc)
-        q = quotients[origin[slot]]
-        q[factor_monomial] = q.get(factor_monomial, 0) ^ factor_coeff
-        for m, c in g.terms.items():
-            if m == lm:
-                continue
-            key = ring.monomial_mul(m, factor_monomial)
-            cc = field.mul(c, factor_coeff)
-            cur = work.get(key)
-            if cur is None:
-                work[key] = cc
-                heappush(heap, (sort_key(key), key))
-            else:
-                merged = cur ^ cc
-                if merged:
-                    work[key] = merged
-                else:
-                    del work[key]
-    if metrics.is_enabled():
-        metrics.counter_add(metrics.DIVISION_CALLS, 1)
-        metrics.counter_add(metrics.DIVISION_STEPS, steps)
-    return (
-        [Polynomial(ring, {m: c for m, c in q.items() if c}) for q in quotients],
-        Polynomial(ring, remainder),
-    )
+    by_slot: List[Dict[Monomial, int]] = [dict() for _ in origin]
+    remainder = _heap_reduce(f, index, trace, quotients=by_slot)
+    quotients = [ring.zero() for _ in divisors]
+    for slot, q in enumerate(by_slot):
+        quotients[origin[slot]] = Polynomial(
+            ring, {m: c for m, c in q.items() if c}
+        )
+    return quotients, remainder

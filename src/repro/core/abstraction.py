@@ -34,7 +34,6 @@ from itertools import chain
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, FrozenSet, List, Optional
 
-from .. import kernels
 from ..algebra import (
     LexOrder,
     Polynomial,
@@ -338,28 +337,29 @@ def _reduce_to_masks(
     ints instead of frozensets; :func:`reduce_through_gates` wraps it with
     the engine write-back.
 
-    Dispatches to the batched kernel (:func:`_reduce_to_masks_batched`)
-    unless ``REPRO_BATCH_KERNELS=0`` selects the retained legacy kernel.
-    Both are term-for-term identical and emit byte-identical REDTRACE
-    streams.
+    The sweep is frontier-batched: one Python op advances a whole term
+    group. Gate tails over boolean logic carry coefficient 1 on every
+    monomial, so tails are stored as plain *sets* of ``(mask, gates)`` keys
+    and a substitution step becomes set algebra. For a coefficient-free
+    seed (every seed coefficient 1 — the per-cone parallel path) the staged
+    groups themselves are mask sets and each tail monomial folds a whole
+    group into its target with one ``symmetric_difference_update``; for the
+    alpha-weighted serial seed groups stay ``mask -> coeff`` dicts and the
+    fold is one :func:`~repro.gf.xor_accumulate` sweep per tail monomial.
+    Either way the interpreter dispatches per *tail item*, not per product.
+
+    Shifting a group by a tail mask is not injective — two masks differing
+    only inside the tail mask collide, and that pair must *cancel*, so the
+    batch is parity-folded through a Counter whenever ``set(shifted)``
+    loses elements; a bare ``set()`` would dedupe instead.
+
+    REDTRACE events carry content-based counts sampled at pop boundaries
+    (group/tail/live sizes), so the stream is invariant under batching and
+    under set iteration order: traces recorded under the per-term kernel
+    this sweep replaced still replay with zero diffs. A gate tail with a
+    coefficient other than 1 breaks the set encoding and raises
+    :class:`RuntimeError` naming the gate.
     """
-    if kernels.batch_enabled():
-        return _reduce_to_masks_batched(
-            circuit, seed_terms, field, ordering, word_relations
-        )
-    return _reduce_to_masks_legacy(
-        circuit, seed_terms, field, ordering, word_relations
-    )
-
-
-def _reduce_to_masks_legacy(
-    circuit: Circuit,
-    seed_terms: Dict[FrozenSet[int], int],
-    field: GF2m,
-    ordering: RatoOrdering,
-    word_relations: Optional[List[tuple]] = None,
-) -> "tuple[Dict[int, int], int, int, int]":
-    """The pre-batching sweep, kept verbatim as the differential oracle."""
     id_of = ordering.var_ids
     num_gates = len(ordering.gate_nets)
 
@@ -372,361 +372,6 @@ def _reduce_to_masks_legacy(
     # Tails are built in topological order, so resolutions are transitive.
     # Gate ids are dense (0..num_gates-1), so the per-gate side tables are
     # flat lists, not dicts.
-    resolved: list = [None] * num_gates
-
-    def encode(monomial) -> "tuple[int, tuple]":
-        mask = 0
-        gs = ()
-        for v in monomial:
-            if v < num_gates:
-                r = resolved[v]
-                if r is None:
-                    gs = _merge_sorted(gs, (v,)) if gs else (v,)
-                else:
-                    mask |= r[0]
-                    if r[1]:
-                        gs = _merge_sorted(gs, r[1]) if gs else r[1]
-            else:
-                mask |= 1 << (v - num_gates)
-        return mask, gs
-
-    # A second fusion handles XOR trees: a multi-term gate feeding exactly
-    # one consumer (and not referenced by the seed) contributes its tail
-    # *additively* inside that consumer's XOR, so its items are spliced in
-    # at build time. A 32-input XOR tree then costs one 32-item
-    # substitution instead of 31 cascaded 2-item ones.
-    fanout = Counter(
-        chain.from_iterable(g.inputs for g in circuit.topological_order())
-    )
-    pinned = [False] * num_gates
-    for monomial in seed_terms:
-        for v in monomial:
-            if v < num_gates:
-                pinned[v] = True
-
-    # Tails in encoded form. AND/XOR are built directly without the
-    # intermediate frozenset dicts; everything else goes through the
-    # generic gate_tail translation.
-    tails: Dict[int, Dict[tuple, int]] = {}
-    for gate in circuit.topological_order():
-        out = id_of[gate.output]
-        gtype = gate.gate_type
-        if gtype is GateType.AND or gtype is GateType.BUF:
-            mask = 0
-            gs = ()
-            for net in gate.inputs:
-                v = id_of[net]
-                if v < num_gates:
-                    r = resolved[v]
-                    if r is None:
-                        if not gs:
-                            gs = (v,)
-                        elif len(gs) == 1:  # dominant shapes, merged inline
-                            g0 = gs[0]
-                            if v > g0:
-                                gs = (g0, v)
-                            elif v < g0:
-                                gs = (v, g0)
-                        else:
-                            gs = _merge_sorted(gs, (v,))
-                    else:
-                        mask |= r[0]
-                        rg = r[1]
-                        if rg:
-                            if not gs:
-                                gs = rg
-                            elif len(gs) == 1 and len(rg) == 1:
-                                g0 = gs[0]
-                                w = rg[0]
-                                if w > g0:
-                                    gs = (g0, w)
-                                elif w < g0:
-                                    gs = (w, g0)
-                            else:
-                                gs = _merge_sorted(gs, rg)
-                else:
-                    mask |= 1 << (v - num_gates)
-            resolved[out] = (mask, gs)
-            continue
-        if gtype is GateType.XOR:
-            acc: Dict[tuple, int] = {}
-            for net in gate.inputs:
-                v = id_of[net]
-                if v < num_gates:
-                    r = resolved[v]
-                    if r is None:
-                        spliced = (
-                            tails.pop(v)
-                            if fanout[net] == 1 and not pinned[v] and v in tails
-                            else None
-                        )
-                        if spliced is not None:
-                            # Steal the first child's dict outright; after
-                            # that merge the smaller side into the larger,
-                            # which keeps XOR-tree collapse near-linear.
-                            if not acc:
-                                acc = spliced
-                                continue
-                            if len(spliced) > len(acc):
-                                acc, spliced = spliced, acc
-                            for skey, scoeff in spliced.items():
-                                cur = acc.get(skey, 0) ^ scoeff
-                                if cur:
-                                    acc[skey] = cur
-                                else:
-                                    del acc[skey]
-                            continue
-                        key = (0, (v,))
-                    else:
-                        key = r
-                else:
-                    key = (1 << (v - num_gates), ())
-                cur = acc.get(key, 0) ^ 1  # XOR parity on repeats
-                if cur:
-                    acc[key] = cur
-                else:
-                    del acc[key]
-        else:
-            acc = {}
-            for tm, tc in gate_tail(gate, id_of).items():
-                key = encode(tm)  # encode is not injective: XOR-merge
-                cur = acc.get(key, 0) ^ tc
-                if cur:
-                    acc[key] = cur
-                else:
-                    del acc[key]
-        if len(acc) == 1:
-            (key, coeff), = acc.items()
-            if coeff == 1:
-                resolved[out] = key
-                continue
-        tails[out] = acc
-
-    # Stage every seed term under its smallest gate variable; gate-free
-    # terms go straight to the remainder. Buckets are two-level — gate
-    # tuple, then mask — so per-product work in the sweep is int-keyed
-    # dict traffic only. Resolution can make distinct seed monomials
-    # encode to the same key, so staging XOR-merges.
-    staged: Dict[int, Dict[tuple, Dict[int, int]]] = {}
-    remainder: Dict[int, int] = {}
-    for monomial, coeff in seed_terms.items():
-        mask, gates = encode(monomial)
-        sub = remainder if not gates else (
-            staged.setdefault(gates[0], {}).setdefault(gates, {})
-        )
-        cur = sub.get(mask)
-        if cur is None:
-            sub[mask] = coeff
-        else:
-            merged = cur ^ coeff
-            if merged:
-                sub[mask] = merged
-            else:
-                del sub[mask]
-
-    mul = field.mul
-    substitutions = 0
-    traffic = 0
-    live = len(remainder) + sum(
-        len(sub) for bucket in staged.values() for sub in bucket.values()
-    )
-    peak = 0
-    heap = [v for v, bucket in staged.items() if bucket]
-    heapq.heapify(heap)
-    queued = set(heap)
-    staged_get = staged.get
-    # REDTRACE hook, hoisted so the disabled per-pop cost is one None test.
-    rtw = redtrace.active_writer()
-    while heap:
-        var = heapq.heappop(heap)
-        queued.discard(var)
-        bucket = staged.pop(var, None)
-        if not bucket:
-            continue
-        tail_items = tails[var]
-        if rtw is not None:
-            rtw.emit(
-                "mask_sweep",
-                var=var,
-                groups=len(bucket),
-                tail=len(tail_items),
-                live=live,
-            )
-        substitutions_here = 0
-        # Resolve each tail monomial's target bucket once per pop: groups
-        # whose gate tuple is just ``(var,)`` (the common case) route every
-        # product straight into that bucket, so the innermost loop is an
-        # int ``|`` plus one int-keyed dict merge. Buckets are mutated in
-        # place, so the precomputed references stay valid as the pop
-        # introduces further terms.
-        routed = []
-        slim = []
-        for (tmask, tgates), tcoeff in tail_items.items():
-            if tgates:
-                g0 = tgates[0]
-                outer = staged_get(g0)
-                if outer is None:
-                    staged[g0] = outer = {}
-                if g0 not in queued:
-                    heapq.heappush(heap, g0)
-                    queued.add(g0)
-                tgt = outer.get(tgates)
-                if tgt is None:
-                    outer[tgates] = tgt = {}
-            else:
-                tgt = remainder
-            routed.append((tmask, tgates, tcoeff, tgt))
-            if tcoeff == 1:
-                slim.append((tmask, tgt))
-        # Gate tails over F2 logic are all coefficient 1, so the slim
-        # no-merge no-multiply path is the one that actually runs hot.
-        use_slim = len(slim) == len(routed)
-        for gates, sub in bucket.items():
-            if not sub:
-                continue
-            substitutions_here = 1
-            live -= len(sub)
-            traffic += len(sub) * len(routed)
-            rest = gates[1:]  # gates[0] == var by the staging invariant
-            if not rest and use_slim:
-                if len(sub) == 1:
-                    (mask, coeff), = sub.items()
-                    for tmask, tgt in slim:
-                        kmask = mask | tmask
-                        cur = tgt.get(kmask)
-                        if cur is None:
-                            tgt[kmask] = coeff
-                            live += 1
-                        else:
-                            merged = cur ^ coeff
-                            if merged:
-                                tgt[kmask] = merged
-                            else:
-                                del tgt[kmask]
-                                live -= 1
-                else:
-                    sub_items = list(sub.items())
-                    for tmask, tgt in slim:
-                        for mask, coeff in sub_items:
-                            kmask = mask | tmask
-                            cur = tgt.get(kmask)
-                            if cur is None:
-                                tgt[kmask] = coeff
-                                live += 1
-                            else:
-                                merged = cur ^ coeff
-                                if merged:
-                                    tgt[kmask] = merged
-                                else:
-                                    del tgt[kmask]
-                                    live -= 1
-                continue
-            for tmask, tgates, tcoeff, tgt in routed:
-                if rest:
-                    if not tgates:
-                        kgates = rest
-                    elif len(rest) == 1 and len(tgates) == 1:
-                        a = rest[0]
-                        b = tgates[0]
-                        kgates = (
-                            (a, b) if a < b else ((b, a) if b < a else rest)
-                        )
-                    else:
-                        kgates = _merge_sorted(rest, tgates)
-                    g0 = kgates[0]
-                    outer = staged_get(g0)
-                    if outer is None:
-                        staged[g0] = outer = {}
-                    if g0 not in queued:
-                        heapq.heappush(heap, g0)
-                        queued.add(g0)
-                    tgt = outer.get(kgates)
-                    if tgt is None:
-                        outer[kgates] = tgt = {}
-                if tcoeff == 1:
-                    for mask, coeff in sub.items():
-                        kmask = mask | tmask
-                        cur = tgt.get(kmask)
-                        if cur is None:
-                            tgt[kmask] = coeff
-                            live += 1
-                        else:
-                            merged = cur ^ coeff
-                            if merged:
-                                tgt[kmask] = merged
-                            else:
-                                del tgt[kmask]
-                                live -= 1
-                else:
-                    for mask, coeff in sub.items():
-                        kmask = mask | tmask
-                        cc = mul(coeff, tcoeff)
-                        cur = tgt.get(kmask)
-                        if cur is None:
-                            tgt[kmask] = cc
-                            live += 1
-                        else:
-                            merged = cur ^ cc
-                            if merged:
-                                tgt[kmask] = merged
-                            else:
-                                del tgt[kmask]
-                                live -= 1
-        substitutions += substitutions_here
-        if live > peak:
-            peak = live
-
-    # Trailing division by the input word relations, still in mask space:
-    # the remainder at this point is a dense bit-monomial polynomial (a
-    # thousand terms at k=32), so substituting each word's leading bit here
-    # avoids building frozensets only to immediately rewrite them.
-    if word_relations:
-        div_subs, div_traffic, div_peak = _divide_word_relations_legacy(
-            remainder, word_relations, num_gates, mul
-        )
-        substitutions += div_subs
-        traffic += div_traffic
-        if div_peak > peak:
-            peak = div_peak
-    return remainder, substitutions, traffic, peak
-
-
-def _reduce_to_masks_batched(
-    circuit: Circuit,
-    seed_terms: Dict[FrozenSet[int], int],
-    field: GF2m,
-    ordering: RatoOrdering,
-    word_relations: Optional[List[tuple]] = None,
-) -> "tuple[Dict[int, int], int, int, int]":
-    """Frontier-batched sweep: one Python op advances a whole term group.
-
-    Gate tails over boolean logic carry coefficient 1 on every monomial, so
-    tails are stored as plain *sets* of ``(mask, gates)`` keys and a
-    substitution step becomes set algebra. For a coefficient-free seed
-    (every seed coefficient 1 — the per-cone parallel path) the staged
-    groups themselves are mask sets and each tail monomial folds a whole
-    group into its target with one ``symmetric_difference_update``; for the
-    alpha-weighted serial seed groups stay ``mask -> coeff`` dicts and the
-    fold is one :func:`~repro.gf.xor_accumulate` sweep per tail monomial.
-    Either way the interpreter dispatches per *tail item*, not per product.
-
-    Shifting a group by a tail mask is not injective — two masks differing
-    only inside the tail mask collide, and that pair must *cancel*, so the
-    batch is parity-folded through a Counter whenever ``set(shifted)``
-    loses elements; a bare ``set()`` would dedupe instead.
-
-    Term-for-term identical to :func:`_reduce_to_masks_legacy` and emits
-    the same REDTRACE stream byte-for-byte: events carry content-based
-    counts sampled at pop boundaries (group/tail/live sizes), all invariant
-    under batching and under set iteration order. In the (never observed)
-    event a gate tail surfaces a non-1 coefficient, the whole call defers
-    to the legacy kernel rather than running a mixed-mode frontier.
-    """
-    id_of = ordering.var_ids
-    num_gates = len(ordering.gate_nets)
-
-    # AND/BUF resolution is identical to the legacy kernel: single-monomial
-    # coefficient-1 tails are inlined at encode time and never scheduled.
     resolved: list = [None] * num_gates
 
     def encode(monomial) -> "tuple[int, tuple]":
@@ -836,13 +481,13 @@ def _reduce_to_masks_batched(
                     dacc[key] = cur
                 else:
                     del dacc[key]
-            if any(c != 1 for c in dacc.values()):
+            bad = [c for c in dacc.values() if c != 1]
+            if bad:
                 # A non-boolean tail coefficient would need field products
-                # inside the set sweep; no supported gate produces one, but
-                # if it ever happens run the whole call on the legacy
-                # kernel instead.
-                return _reduce_to_masks_legacy(
-                    circuit, seed_terms, field, ordering, word_relations
+                # inside the set sweep; no supported gate produces one.
+                raise RuntimeError(
+                    f"gate {gate.output!r} ({gtype.name}) has tail "
+                    f"coefficient {bad[0]:#x}; the mask sweep needs 1"
                 )
             acc = set(dacc)
         if len(acc) == 1:
@@ -1036,8 +681,12 @@ def _reduce_to_masks_batched(
 
     if pure:
         remainder = dict.fromkeys(frontier, 1)
+    # Trailing division by the input word relations, still in mask space:
+    # the remainder at this point is a dense bit-monomial polynomial (a
+    # thousand terms at k=32), so substituting each word's leading bit here
+    # avoids building frozensets only to immediately rewrite them.
     if word_relations:
-        div_subs, div_traffic, div_peak = _divide_word_relations_batched(
+        div_subs, div_traffic, div_peak = _divide_word_relations(
             remainder, word_relations, num_gates, field
         )
         substitutions += div_subs
@@ -1057,34 +706,11 @@ def _divide_word_relations(
 
     Substitutes each relation's leading bit by its tail (the word variable
     plus the alpha-scaled higher bits). Returns ``(substitutions,
-    term_traffic, peak_terms)`` deltas. Dispatches on the kernel switch,
-    like :func:`_reduce_to_masks`; the parallel merge calls this on the
-    combined remainder and each sweep kernel calls its own variant
-    directly.
-    """
-    if kernels.batch_enabled():
-        return _divide_word_relations_batched(
-            remainder, word_relations, num_gates, field
-        )
-    return _divide_word_relations_legacy(
-        remainder, word_relations, num_gates, field.mul
-    )
-
-
-def _divide_word_relations_batched(
-    remainder: Dict[int, int],
-    word_relations: List[tuple],
-    num_gates: int,
-    field: GF2m,
-) -> "tuple[int, int, int]":
-    """Word-relation division, vectorised tail-major through ``mul_vec``.
-
-    Where the legacy variant walks affected-term × tail-item pairs one
-    merge at a time, this scales *all* affected coefficients by one tail
-    coefficient per :meth:`~repro.gf.GF2m.mul_vec` call and folds each
-    shifted batch in with one :func:`~repro.gf.xor_accumulate` sweep. XOR
-    accumulation commutes, so the result and every emitted figure match
-    the legacy order exactly.
+    term_traffic, peak_terms)`` deltas. Vectorised tail-major: *all*
+    affected coefficients are scaled by one tail coefficient per
+    :meth:`~repro.gf.GF2m.mul_vec` call and each shifted batch folds in
+    with one :func:`~repro.gf.xor_accumulate` sweep. The serial sweep calls
+    this at its end; the parallel merge calls it on the combined remainder.
     """
     substitutions = 0
     traffic = 0
@@ -1116,55 +742,6 @@ def _divide_word_relations_batched(
                 [base | tmask for base in bases],
                 coeffs if tcoeff == 1 else mul_vec(coeffs, tcoeff),
             )
-        substitutions += 1
-        if len(remainder) > peak:
-            peak = len(remainder)
-    return substitutions, traffic, peak
-
-
-def _divide_word_relations_legacy(
-    remainder: Dict[int, int],
-    word_relations: List[tuple],
-    num_gates: int,
-    mul,
-) -> "tuple[int, int, int]":
-    """The pre-batching division loop, kept verbatim as the oracle."""
-    substitutions = 0
-    traffic = 0
-    peak = 0
-    rtw = redtrace.active_writer()
-    for var, rel_tail in word_relations:
-        bit = 1 << (var - num_gates)
-        affected = [item for item in remainder.items() if item[0] & bit]
-        if not affected:
-            continue
-        if rtw is not None:
-            rtw.emit(
-                "word_relation_division",
-                var=var,
-                affected=len(affected),
-                tail=len(rel_tail),
-                remainder=len(remainder),
-            )
-        titems = [(1 << (tv - num_gates), tc) for tv, tc in rel_tail]
-        for mask, _ in affected:
-            del remainder[mask]
-        traffic += len(affected) * len(titems)
-        rget = remainder.get
-        for mask, coeff in affected:
-            base = mask ^ bit
-            for tmask, tcoeff in titems:
-                key = base | tmask
-                cc = coeff if tcoeff == 1 else mul(coeff, tcoeff)
-                cur = rget(key)
-                if cur is None:
-                    remainder[key] = cc
-                else:
-                    merged = cur ^ cc
-                    if merged:
-                        remainder[key] = merged
-                    else:
-                        del remainder[key]
         substitutions += 1
         if len(remainder) > peak:
             peak = len(remainder)
@@ -1364,7 +941,7 @@ def extract_canonical(
         comparison (:func:`repro.core.engage.parallel_engage`): predicted
         serial seconds vs. the worker plane's measured dispatch overhead,
         with ``REPRO_PARALLEL_FORCE=1``/``0`` as the hard override. Any
-        :class:`~repro.jobs.pool.PoolError` also falls back to serial.
+        :class:`~repro.jobs.plane.PoolError` also falls back to serial.
         Both paths produce bit-identical polynomials.
     """
     start = time.perf_counter()
@@ -1388,7 +965,7 @@ def extract_canonical(
         and ordering is None
         and circuit.num_gates() >= _parallel_min_gates()
     ):
-        from ..jobs.pool import PoolError
+        from ..jobs.plane import PoolError
         from .engage import parallel_engage
 
         engaged, reason = parallel_engage(workers, circuit.num_gates(), field.k)
@@ -1667,7 +1244,7 @@ def _extract_parallel(
     is confluent and the seed is linear in the ``z_i``, this is term-for-term
     identical to reducing the whole seed in one sweep.
     """
-    from ..jobs.pool import run_pool
+    from ..jobs.plane import run_pool
 
     ordering, cones, bitmaps, mask_bytes, context, packed = _plane_slices(
         circuit, field, output_word

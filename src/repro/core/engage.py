@@ -22,8 +22,7 @@ engages eagerly on a 32-core box where overhead is amortised 31/32 away.
 3. a cold-start constant (~3 µs/gate, the measured Mastrovito rate).
 
 ``dispatch_overhead`` is the plane's measured per-map EMA (calibrated with
-a no-op map before the first real one); the legacy fork pool is priced at
-its measured fork+warm+teardown baseline.
+a no-op map before the first real one).
 
 ``REPRO_PARALLEL_FORCE`` stays as the override: ``1`` always engages,
 ``0`` never does.
@@ -51,11 +50,6 @@ _COLDSTART_SECONDS_PER_GATE = 3e-6
 #: wall clock while a wrong "serial" costs only the saving.
 _DEFAULT_MARGIN = 2.0
 
-#: Measured per-map cost of the legacy fork pool (fork + GF warm +
-#: teardown) on the benchmark boxes; used when REPRO_WORKER_PLANE=0 since
-#: the fork pool keeps no state to measure itself with.
-_FORKPOOL_OVERHEAD_SECONDS = 0.25
-
 _ALPHA = 0.3
 
 _lock = threading.Lock()
@@ -69,13 +63,6 @@ def _forced() -> Optional[bool]:
     if raw is None or raw == "":
         return None
     return raw.lower() not in ("0", "false", "off")
-
-
-def _margin() -> float:
-    try:
-        return float(os.environ.get("REPRO_PARALLEL_ENGAGE_MARGIN", _DEFAULT_MARGIN))
-    except ValueError:
-        return _DEFAULT_MARGIN
 
 
 def _fitted_model() -> Optional[CostModel]:
@@ -124,11 +111,7 @@ def predict_serial_seconds(
     return _COLDSTART_SECONDS_PER_GATE * gates, "coldstart"
 
 
-def _dispatch_overhead(workers: int) -> float:
-    from ..jobs.pool import pool_engine
-
-    if pool_engine() == "forkpool":
-        return _FORKPOOL_OVERHEAD_SECONDS
+def _dispatch_overhead() -> float:
     from ..jobs.plane import PoolError, get_plane
 
     try:
@@ -158,8 +141,8 @@ def parallel_engage(
         return False, "no_parallelism"
     predicted, source = predict_serial_seconds(k, gates, cones)
     saving = predicted * (1.0 - 1.0 / effective)
-    overhead = _dispatch_overhead(workers)
-    if saving > _margin() * overhead:
+    overhead = _dispatch_overhead()
+    if saving > _DEFAULT_MARGIN * overhead:
         return True, "engaged"
     logger.debug(
         "parallel abstraction not worth it: predicted serial %.4fs (%s), "

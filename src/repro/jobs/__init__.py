@@ -18,7 +18,6 @@ from .cache import (
     rehydrate_polynomial,
 )
 from .executor import execute_job
-from .pool import PoolError, PoolResult, run_pool
 from .manifest import (
     BatchJob,
     BatchManifest,
@@ -26,6 +25,7 @@ from .manifest import (
     load_manifest,
     manifest_from_dict,
 )
+from .plane import PoolError, PoolResult, run_pool
 from .runner import BatchReport, run_batch
 
 __all__ = [

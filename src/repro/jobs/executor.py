@@ -41,7 +41,7 @@ import resource
 import time
 from typing import Dict, Optional, Tuple
 
-from .. import kernels, obs
+from .. import obs
 from ..algebra import parse_polynomial
 from ..circuits import Circuit, read_netlist, read_netlist_text
 from ..core import word_ring_for
@@ -425,7 +425,6 @@ def execute_job(
         "status": "ok",
         "attempt": attempt,
         "seconds": seconds,
-        "kernel": kernels.active_kernel(),
         "phases": {k: round(v, 6) for k, v in phases.items()},
         "peak_rss_mb": round(_peak_rss_mb(), 1),
         "cache": dict(counters),

@@ -1,10 +1,13 @@
 """Resident worker plane: pre-forked, GF-table-warm processes fed over pipes.
 
-The per-map fork pool (:mod:`repro.jobs.pool`'s legacy engine) paid a full
-``fork + GF warm + teardown`` on every map — 0.1–0.6 s on the benchmark
-boxes, which is why BENCH_parallel.json recorded parallel *slowdowns*. The
-plane keeps one set of worker processes alive for the life of the host
-process and amortises all of that:
+:func:`run_pool` is the one entry point for "map hundreds of sub-100ms
+tasks that all read the same circuit across processes" (the cone-sliced
+parallel abstraction). A per-map fork pool would pay a full ``fork + GF
+warm + teardown`` on every map — 0.1–0.6 s on the benchmark boxes, which
+is why early parallel runs recorded *slowdowns* (the fork-era numbers
+stay under ``benchmarks/baselines/``). The plane keeps one set
+of worker processes alive for the life of the host process and amortises
+all of that:
 
 - **pre-forked, reused workers** — forked once (lazily, on first map, or
   on demand when concurrent maps need more), each holding a duplex pipe to
@@ -19,8 +22,8 @@ process and amortises all of that:
   with a ``stale`` reply instead of computing against the wrong circuit.
 - **GF-table warm on publish** — the worker warms the context's
   ``(k, modulus)`` tables when it accepts the context, then reports
-  ``table_builds`` deltas per task exactly like the legacy pool, so
-  callers can still assert no mid-map rebuilds.
+  ``table_builds`` deltas per task, so callers can assert no mid-map
+  rebuilds.
 - **crash containment** — a worker that dies mid-task (OOM-kill, SIGKILL,
   segfault) is detected by the pipe going dead; the plane respawns a
   replacement, republishes the context and requeues the in-flight task,
@@ -28,15 +31,17 @@ process and amortises all of that:
   retried — they surface immediately as :class:`PoolError`.
 - **map deadlines** — a wall-clock budget for the whole map; on expiry the
   workers still busy are killed (their results will never be read) and the
-  map fails with a ``PoolError`` whose message names ``TimeoutError`` so
-  existing fallback-to-serial callers behave unchanged.
+  map fails with a ``PoolError`` whose message names ``TimeoutError``.
+
+Every failure surfaces as :class:`PoolError` — including a context that
+cannot be pickled (closures over live objects), which never reaches a
+worker — so callers with a serial fallback catch just that one type.
 
 Workers are daemonic: they die with the parent, and — being daemonic —
 can never fork children of their own, so work dispatched *onto* the plane
 (service jobs, cone maps) automatically degrades to serial inside the
 worker instead of fork-bombing. A daemonic process asking for a plane gets
-:class:`PoolError`, the same fallback contract the old pool's fork failure
-produced.
+:class:`PoolError` too.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ __all__ = [
     "get_plane",
     "pack_context",
     "plane_cap",
+    "run_pool",
 ]
 
 logger = logging.getLogger("repro.jobs")
@@ -88,7 +94,7 @@ class PoolResult:
 
     ``snapshot`` is the worker's full trace-collector snapshot (spans +
     counters + gauges) when the map ran with tracing, else ``None``;
-    ``spans`` keeps the legacy spans-only view.
+    ``spans`` is the spans-only view.
     """
 
     __slots__ = ("index", "payload", "stats", "snapshot")
@@ -253,8 +259,7 @@ class WorkerPlane:
     """A resident pool of forked workers shared by every map in the process.
 
     Thread-safe: concurrent :meth:`map` calls check out disjoint workers
-    and run fully in parallel — the serialising module lock of the legacy
-    fork pool is gone.
+    and run fully in parallel.
     """
 
     def __init__(self, max_workers: Optional[int] = None):
@@ -440,15 +445,11 @@ class WorkerPlane:
             raise PoolError("daemonic process cannot host a worker plane")
         if tracing is None:
             tracing = obs.is_enabled()
-        if packed is not None:
-            blob = packed
-        else:
-            try:
-                blob = pack_context(fn, context, field_key, tracing)
-            except Exception as exc:
-                raise _UnpicklableContext(
-                    f"plane context not picklable: {type(exc).__name__}: {exc}"
-                ) from exc
+        blob = (
+            packed
+            if packed is not None
+            else pack_context(fn, context, field_key, tracing)
+        )
         key = hashlib.sha256(blob).hexdigest()
         with self._cond:
             if self._ctx is not None and self._ctx[0] == key:
@@ -617,10 +618,6 @@ class WorkerPlane:
         return results
 
 
-class _UnpicklableContext(PoolError):
-    """Context cannot ship over a pipe; the legacy COW fork pool still can."""
-
-
 def pack_context(
     fn: Callable[[Any, int], Tuple[Any, Dict]],
     context: Any,
@@ -630,18 +627,78 @@ def pack_context(
     """Serialise a plane context once, for reuse across many maps.
 
     The blob's content hash is the context identity: two maps passing the
-    same bytes share one worker-side publish.
+    same bytes share one worker-side publish. A context that cannot be
+    pickled raises :class:`PoolError`.
     """
     if tracing is None:
         tracing = obs.is_enabled()
-    return pickle.dumps(
-        (fn, context, field_key, tracing), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    try:
+        return pickle.dumps(
+            (fn, context, field_key, tracing), protocol=pickle.HIGHEST_PROTOCOL
+        )
+    except Exception as exc:
+        raise PoolError(
+            f"plane context not picklable: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _noop_task(context: Any, index: int) -> Tuple[Any, Dict]:
     """Calibration task: measures pure dispatch cost."""
     return None, {}
+
+
+#: Sentinel distinguishing "no context" (``fn(index)`` signature) from an
+#: explicit ``context=None``.
+_NO_CONTEXT = object()
+
+
+def _call_plain(fn: Callable[[int], Tuple[Any, Dict]], index: int):
+    """Plane adapter for zero-context callables: ``fn`` is the context."""
+    return fn(index)
+
+
+def run_pool(
+    fn: Callable[..., Tuple[Any, Dict]],
+    indices: Sequence[int],
+    workers: int,
+    field_key: Optional[Tuple[int, int]] = None,
+    timeout: Optional[float] = None,
+    retries: int = 1,
+    context: Any = _NO_CONTEXT,
+    packed: Optional[bytes] = None,
+) -> List[PoolResult]:
+    """Map ``fn`` over ``indices`` on the process-wide plane.
+
+    With ``context`` given, ``fn`` must be a module-level callable invoked
+    as ``fn(context, index)``; the pair ships to the plane workers once per
+    distinct context. Without it, ``fn(index)`` is called and ``fn`` itself
+    is the context. Either way the context must pickle — a closure over
+    live objects raises :class:`PoolError` before any worker sees it.
+
+    ``fn`` returns ``(payload, stats_dict)``. ``indices`` controls dispatch
+    order: callers submit heavy tasks first to keep the schedule's tail
+    short. ``field_key`` is the ``(k, modulus)`` whose GF tables workers
+    pre-build. ``timeout`` bounds the whole map's wall clock; ``retries``
+    is the per-task crash budget. ``packed`` is a :func:`pack_context`
+    blob to reuse instead of re-pickling.
+
+    Results come back in completion order; callers index by
+    :attr:`PoolResult.index`. Every failure surfaces as :class:`PoolError`.
+    """
+    if workers < 1:
+        raise ValueError("run_pool needs at least one worker")
+    if context is _NO_CONTEXT:
+        fn, context = _call_plain, fn
+    return get_plane().map(
+        fn,
+        context,
+        indices,
+        workers,
+        field_key=field_key,
+        timeout=timeout,
+        retries=retries,
+        packed=packed,
+    )
 
 
 # -- process-global singleton -------------------------------------------------

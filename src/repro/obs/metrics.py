@@ -29,8 +29,6 @@ __all__ = [
     "COSTMODEL_PREDICTIONS",
     "DIVISION_CALLS",
     "DIVISION_PEAK_TERMS",
-    "DIVISION_SORTKEY_HITS",
-    "DIVISION_SORTKEY_LOOKUPS",
     "DIVISION_STEPS",
     "FRAIG_MERGED",
     "FRAIG_QUERIES",
@@ -38,7 +36,6 @@ __all__ = [
     "PARALLEL_CONE_DIVISION_STEPS",
     "PARALLEL_MAX_CONE_DIVISION_STEPS",
     "PARALLEL_POOL_IDLE_MS",
-    "PARALLEL_POOL_LOCK_WAIT_MS",
     "PARALLEL_POOL_UTILIZATION_PCT",
     "PARALLEL_POOL_WORKERS",
     "PARALLEL_TABLE_REBUILDS",
@@ -106,15 +103,9 @@ BUCHBERGER_PAIRS_SKIPPED = "buchberger.pairs_skipped_coprime"
 BUCHBERGER_REDUCTIONS = "buchberger.spoly_reductions"
 
 # Multivariate division (``f ->_G+ r``): the inner loop of everything.
-# The sortkey pair tracks the batched reducer's per-call monomial-key memo:
-# lookups ticks once per key request, hits counts the subset served from the
-# memo (hit rate = hits / lookups — high on reduction-heavy workloads where
-# the same monomials are re-keyed on every heap push).
 DIVISION_CALLS = "division.calls"
 DIVISION_STEPS = "division.steps"
 DIVISION_PEAK_TERMS = "division.peak_terms"  # gauge
-DIVISION_SORTKEY_LOOKUPS = "division.sortkey_lookups"
-DIVISION_SORTKEY_HITS = "division.sortkey_hits"
 
 # Vanishing ideal J_0 generators materialised for faithful GB runs.
 VANISHING_GENERATORS = "vanishing.generators"
@@ -143,10 +134,6 @@ PARALLEL_POOL_WORKERS = "parallel.pool_workers"  # gauge
 PARALLEL_POOL_UTILIZATION_PCT = "parallel.pool_utilization_pct"  # gauge
 PARALLEL_POOL_IDLE_MS = "parallel.pool_idle_ms"
 PARALLEL_TABLE_REBUILDS = "parallel.table_rebuilds"
-# The legacy fork-pool engine (REPRO_WORKER_PLANE=0) allows one map in
-# flight per process; concurrent callers queue on its module lock. The
-# plane engine never ticks this — its maps run concurrently.
-PARALLEL_POOL_LOCK_WAIT_MS = "parallel.pool_lock_wait_ms"
 
 # Resident worker plane (repro.jobs.plane): fork-amortised map dispatch.
 # ctx_publishes counts context (circuit) ships to workers; ctx_reused the

@@ -46,7 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from .. import __version__, kernels, obs
+from .. import __version__, obs
 from ..obs import metrics, render_prometheus
 from .queue import BoundedJobQueue, QueueClosed, QueueFull
 from .scheduler import Scheduler
@@ -483,13 +483,6 @@ class VerificationService:
         if self._recorder is not None:
             extra["trace.buffered_events"] = self._recorder.buffered()
         body = render_prometheus(snapshot, extra_gauges=extra)
-        # Info-style metric: which reduction kernel path this process runs
-        # (REPRO_BATCH_KERNELS). Labelled, so it rides outside the flat
-        # counter/gauge maps render_prometheus consumes.
-        body += (
-            "# TYPE repro_kernel_info gauge\n"
-            f'repro_kernel_info{{path="{kernels.active_kernel()}"}} 1\n'
-        )
         if self.config.shard_of:
             body += (
                 "# TYPE repro_shard_info gauge\n"

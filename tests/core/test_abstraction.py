@@ -228,3 +228,26 @@ class TestMultiOutputCircuits:
         ].ring.var("B")
         # The bit-reversed word implements a different (linear) function.
         assert results["P2"].polynomial != results["P"].polynomial
+
+
+class TestSweepInvariant:
+    def test_non_unit_gate_tail_coefficient_raises_naming_the_gate(
+        self, monkeypatch
+    ):
+        # The mask sweep stores gate tails as coefficient-free sets; a tail
+        # coefficient other than 1 must fail loudly, not be dropped.
+        from repro.circuits import GateType, substitute_gate_type
+        from repro.core import abstraction
+
+        field = GF2m(8)
+        clean = mastrovito_multiplier(field)
+        net = next(g.output for g in clean.gates if g.gate_type is GateType.XOR)
+        circuit, _ = substitute_gate_type(clean, net, GateType.OR)
+        real_gate_tail = abstraction.gate_tail
+
+        def doubled_tail(gate, var_ids):
+            return {m: 2 for m in real_gate_tail(gate, var_ids)}
+
+        monkeypatch.setattr(abstraction, "gate_tail", doubled_tail)
+        with pytest.raises(RuntimeError, match=rf"gate '{net}' \(OR\).*0x2"):
+            abstract_circuit(circuit, field)

@@ -32,6 +32,10 @@ def force_parallel(monkeypatch):
     monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
 
 
+def failing_cone_task(context, index):
+    raise RuntimeError(f"cone {index} failed")
+
+
 def assert_same_abstraction(serial, parallel):
     assert parallel.polynomial.terms == serial.polynomial.terms
     assert parallel.output_word == serial.output_word
@@ -201,7 +205,7 @@ class TestCostModel:
 
     def test_pool_failure_falls_back_to_serial(self, force_parallel, monkeypatch):
         from repro.core import abstraction
-        from repro.jobs.pool import PoolError
+        from repro.jobs.plane import PoolError
 
         def broken_pool(*args, **kwargs):
             raise PoolError("simulated pool failure")
@@ -214,6 +218,38 @@ class TestCostModel:
         result = extract_canonical(circuit, field, jobs=2)
         assert result.stats.jobs == 0
         assert result.polynomial.terms == serial.polynomial.terms
+
+
+    def test_failed_cone_map_falls_back_to_serial(
+        self, force_parallel, monkeypatch
+    ):
+        # The map itself fails inside the plane workers (every cone task
+        # raises), so run_pool surfaces PoolError and the serial sweep runs.
+        from repro.core import abstraction
+
+        field = GF2m(8)
+        serial = extract_canonical(mastrovito_multiplier(field), field)
+        monkeypatch.setattr(abstraction, "_cone_task", failing_cone_task)
+        result = extract_canonical(mastrovito_multiplier(field), field, jobs=2)
+        assert result.stats.jobs == 0
+        assert str(result.polynomial) == str(serial.polynomial)
+
+    def test_unpicklable_cone_context_falls_back_to_serial(
+        self, force_parallel, monkeypatch
+    ):
+        from repro.core import abstraction
+
+        field = GF2m(8)
+        serial = extract_canonical(mastrovito_multiplier(field), field)
+        reduce_cone = abstraction._cone_task
+
+        def closure(context, index):  # a closure never pickles
+            return reduce_cone(context, index)
+
+        monkeypatch.setattr(abstraction, "_cone_task", closure)
+        result = extract_canonical(mastrovito_multiplier(field), field, jobs=2)
+        assert result.stats.jobs == 0
+        assert str(result.polynomial) == str(serial.polynomial)
 
 
 class TestParallelStats:

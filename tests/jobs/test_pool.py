@@ -1,4 +1,4 @@
-"""Unit tests for the fork pool behind cone-sliced parallel abstraction."""
+"""Unit tests for ``run_pool``, the plane map behind cone-sliced abstraction."""
 
 import os
 import time
@@ -32,6 +32,17 @@ def soft_fail(index):
     raise RuntimeError("coefficient invariant violated")
 
 
+def use_field(field_key, index):
+    logtables.log_tables(*field_key)
+    return index, {}
+
+
+def traced(index):
+    with obs.span("cone_task", index=index):
+        pass
+    return index, {}
+
+
 class TestRunPool:
     def test_basic_map(self):
         results = run_pool(double, range(6), workers=2)
@@ -56,31 +67,41 @@ class TestRunPool:
     def test_empty_map(self):
         assert run_pool(double, [], workers=2) == []
 
+    def test_unpicklable_closure_raises_pool_error(self):
+        # A closure cannot ship to a plane worker. It must surface as
+        # PoolError, the one type serial-fallback callers catch, and never
+        # reach a worker.
+        offset = 3
+
+        def closure(index):
+            return index + offset, {}
+
+        with pytest.raises(PoolError, match="not picklable"):
+            run_pool(closure, range(2), workers=1)
+
 
 class TestWarmTables:
     def test_warm_workers_never_rebuild(self):
         field = GF2m(8)
-
-        def use_field(index):
-            logtables.log_tables(field.k, field.modulus)
-            return index, {}
-
+        key = (field.k, field.modulus)
         results = run_pool(
-            use_field, range(4), workers=2, field_key=(field.k, field.modulus)
+            use_field, range(4), workers=2, field_key=key, context=key
         )
         assert all(r.stats["table_rebuilds"] == 0 for r in results)
 
     def test_cold_worker_rebuild_is_reported(self):
-        # A field the initializer did NOT warm and the parent has never
-        # built: evict it so the forked children cannot inherit it either.
+        # A field the context publish did NOT warm and the parent has never
+        # built: evict it, and start a fresh plane, so the forked workers
+        # cannot inherit it either.
+        from repro.jobs.plane import reset_plane
+
         field = GF2m(11)
-        logtables._log_cache.pop((field.k, field.modulus), None)
-
-        def use_cold_field(index):
-            logtables.log_tables(field.k, field.modulus)
-            return index, {}
-
-        results = run_pool(use_cold_field, range(2), workers=1, field_key=None)
+        key = (field.k, field.modulus)
+        logtables._log_cache.pop(key, None)
+        reset_plane()
+        results = run_pool(
+            use_field, range(2), workers=1, field_key=None, context=key
+        )
         assert all(r.stats["table_rebuilds"] >= 1 for r in results)
 
 
@@ -93,14 +114,14 @@ class TestFailureContainment:
         started = time.perf_counter()
         with pytest.raises(PoolError, match="attempt"):
             run_pool(hard_crash, range(2), workers=1, retries=1)
-        # Two fresh-pool attempts, both fast hard-crashes.
+        # Two attempts on respawned workers, both fast hard-crashes.
         assert time.perf_counter() - started < 30.0
 
     def test_task_exception_wrapped_in_pool_error(self):
         # A deterministic exception raised by fn itself must reach the
         # caller as PoolError (so serial fallbacks engage) and must NOT
-        # burn fresh-pool retries — the "task failed" message proves the
-        # wrap happened before the retry loop's "after N attempt(s)" path.
+        # burn crash retries — the "task failed" message proves the wrap
+        # happened before the crash path's "after N attempt(s)" message.
         with pytest.raises(
             PoolError, match=r"task failed: RuntimeError: coefficient"
         ):
@@ -128,9 +149,8 @@ class TestFailureContainment:
 
 class TestThreadSafety:
     def test_concurrent_maps_are_correct(self):
-        # The legacy fork pool serialised concurrent maps on its _CTX
-        # module lock; the plane runs them on disjoint workers. Either
-        # way, interleaved maps must never see each other's context.
+        # The plane runs concurrent maps on disjoint workers; interleaved
+        # maps must never see each other's context.
         import threading
 
         errors = []
@@ -179,11 +199,6 @@ class TestThreadSafety:
 
 class TestTracing:
     def test_spans_ship_back_when_parent_traces(self):
-        def traced(index):
-            with obs.span("cone_task", index=index):
-                pass
-            return index, {}
-
         collector = obs.enable(obs.TraceCollector())
         try:
             results = run_pool(traced, range(2), workers=2)

@@ -124,7 +124,7 @@ class TestDaemonicFallback:
     def test_daemonic_child_gets_pool_error(self):
         # A daemonic process (a plane worker, a batch-runner job) cannot
         # fork children; asking for a plane must raise PoolError so callers
-        # fall back to serial — same contract the fork pool's failure had.
+        # fall back to serial, like every other map failure.
         def probe(queue):
             try:
                 get_plane()

@@ -1,22 +1,22 @@
-"""Property tests: the batched kernels are indistinguishable from legacy.
+"""Property tests: the batched production kernels against small oracles.
 
-Three invariants, each the contract the ``REPRO_BATCH_KERNELS`` switch
-promises:
+Two invariants, each checked against an independent reference rather than
+against a second production implementation:
 
-- **term exactness** — ``extract_canonical`` under the batched kernels
-  produces the identical polynomial, case and work counters as the legacy
-  kernels, on clean and on randomly mutated multipliers (mutations give
-  dense, irregular, sometimes Case-2 canonical polynomials — where a
-  parity bug in the set-batched frontier would surface);
-- **oracle agreement** — the batched ``reduce_polynomial`` matches both
-  the legacy heap reducer and the scan-based
-  ``reference_reduce_polynomial`` remainder-for-remainder and
-  step-for-step on random polynomial systems;
-- **replay byte-identity** — a REDTRACE recorded under one kernel replays
-  with zero diffs under the other, at k in {8, 16, 32}.
+- **term exactness** — the batched mask sweep behind
+  ``reduce_through_gates`` leaves exactly the remainder a plain
+  frozenset sweep leaves (one ``SubstitutionEngine.substitute`` per gate
+  in RATO order), on clean and on randomly mutated multipliers (mutations
+  give dense, irregular, sometimes Case-2 remainders — where a parity bug
+  in the set-batched frontier would surface), for both the alpha-weighted
+  serial seed and the coefficient-free cone seed;
+- **oracle agreement** — ``reduce_polynomial`` and ``divmod_polynomial``
+  match the scan-based ``reference_reduce_polynomial``
+  remainder-for-remainder and step-for-step on random polynomial systems.
+
+Recorded REDTRACEs replaying with zero diffs is pinned by
+``tests/obs/test_fixture_replay.py``.
 """
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,55 +25,74 @@ from hypothesis import strategies as st
 from repro.algebra import Polynomial, PolynomialRing
 from repro.algebra.division import (
     DivisionTrace,
+    divmod_polynomial,
     reduce_polynomial,
     reference_reduce_polynomial,
 )
-from repro.circuits import random_mutation
-from repro.circuits.blif import to_blif
-from repro.core import extract_canonical
+from repro.circuits import Circuit, random_mutation
+from repro.core import build_rato
+from repro.core.abstraction import reduce_through_gates
+from repro.core.bitpoly import SubstitutionEngine
+from repro.core.gate_polys import gate_tail
 from repro.gf import GF2m
-from repro.obs import redtrace
-from repro.obs.replay import diff_events, execute_header, netlist_sha256
 from repro.synth import mastrovito_multiplier, montgomery_multiplier
 
 F256 = GF2m(8)
 
 
-def _with_kernel(value):
-    os.environ["REPRO_BATCH_KERNELS"] = value
+def _seeds(circuit, field, ordering):
+    """The serial seed ``sum alpha^i z_i`` and the coefficient-free one."""
+    id_of = ordering.var_ids
+    (bits,) = circuit.output_words.values()
+    alpha = field.alpha_powers()
+    weighted = {frozenset((id_of[b],)): alpha[i] for i, b in enumerate(bits)}
+    pure = {frozenset((id_of[b],)): 1 for b in bits}
+    return weighted, pure
 
 
-def _extract_both_kernels(circuit, field):
-    prior = os.environ.get("REPRO_BATCH_KERNELS")
-    try:
-        _with_kernel("0")
-        legacy = extract_canonical(circuit, field)
-        _with_kernel("1")
-        batched = extract_canonical(circuit, field)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_BATCH_KERNELS", None)
-        else:
-            os.environ["REPRO_BATCH_KERNELS"] = prior
-    return legacy, batched
+def frozenset_oracle(circuit, field, ordering, seed):
+    """Reference sweep: substitute every gate by its tail, in RATO order."""
+    id_of = ordering.var_ids
+    engine = SubstitutionEngine(field)
+    engine.add_terms(seed.items())
+    for net in ordering.gate_nets:
+        engine.substitute(id_of[net], gate_tail(circuit.gate_driving(net), id_of))
+    return engine.terms
 
 
-def _assert_identical(legacy, batched):
-    assert batched.polynomial.terms == legacy.polynomial.terms
-    assert batched.stats.case == legacy.stats.case
-    assert batched.stats.remainder_bits == legacy.stats.remainder_bits
-    assert batched.stats.substitutions == legacy.stats.substitutions
-    assert batched.stats.term_traffic == legacy.stats.term_traffic
-    assert batched.stats.peak_terms == legacy.stats.peak_terms
+def _assert_sweep_matches_oracle(circuit, field):
+    ordering = build_rato(circuit, output_words=list(circuit.output_words))
+    for seed in _seeds(circuit, field, ordering):
+        engine = SubstitutionEngine(field)
+        engine.add_terms(seed.items())
+        reduce_through_gates(circuit, engine, ordering)
+        assert engine.terms == frozenset_oracle(circuit, field, ordering, seed)
+
+
+def _flat(circuit):
+    return circuit.flatten() if hasattr(circuit, "flatten") else circuit
 
 
 class TestExtractionTermExact:
     @pytest.mark.parametrize("synth", [mastrovito_multiplier, montgomery_multiplier])
     def test_clean_multiplier(self, synth):
-        circuit = synth(F256)
-        if hasattr(circuit, "flatten"):
-            circuit = circuit.flatten()
-        _assert_identical(*_extract_both_kernels(circuit, F256))
+        _assert_sweep_matches_oracle(_flat(synth(F256)), F256)
+
+    def test_colliding_shifts_cancel(self):
+        # z0 = v + v*a0 stages the group {v, v*a0} under v; shifting it by
+        # the tail monomial a0 of v = a0 + b0 collides, and the pair must
+        # cancel (v*(1 + a0) = b0 + a0*b0), not dedupe.
+        c = Circuit("collide")
+        c.add_inputs(["a0", "a1", "b0", "b1"])
+        c.XOR("a0", "b0", out="v")
+        c.AND("v", "a0", out="w")
+        c.XOR("v", "w", out="z0")
+        c.AND("a1", "b1", out="z1")
+        c.set_outputs(["z0", "z1"])
+        c.add_input_word("A", ["a0", "a1"])
+        c.add_input_word("B", ["b0", "b1"])
+        c.add_output_word("Z", ["z0", "z1"])
+        _assert_sweep_matches_oracle(c, GF2m(2))
 
     @given(seed=st.integers(0, 2**20))
     @settings(
@@ -82,7 +101,7 @@ class TestExtractionTermExact:
     )
     def test_mutated_mastrovito(self, seed):
         circuit, _ = random_mutation(mastrovito_multiplier(F256), seed=seed)
-        _assert_identical(*_extract_both_kernels(circuit, F256))
+        _assert_sweep_matches_oracle(circuit, F256)
 
     @given(seed=st.integers(0, 2**20))
     @settings(
@@ -90,11 +109,8 @@ class TestExtractionTermExact:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_mutated_montgomery(self, seed):
-        circuit = montgomery_multiplier(F256)
-        if hasattr(circuit, "flatten"):
-            circuit = circuit.flatten()
-        circuit, _ = random_mutation(circuit, seed=seed)
-        _assert_identical(*_extract_both_kernels(circuit, F256))
+        circuit, _ = random_mutation(_flat(montgomery_multiplier(F256)), seed=seed)
+        _assert_sweep_matches_oracle(circuit, F256)
 
 
 @st.composite
@@ -121,90 +137,21 @@ class TestDivisionOracleAgreement:
         g_data=st.lists(poly_data(max_terms=4), min_size=1, max_size=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batched_matches_legacy_and_reference(self, f_data, g_data):
+    def test_reducers_match_reference(self, f_data, g_data):
         ring = PolynomialRing(F256, ["a", "b", "c", "d"])
         f = Polynomial(ring, f_data)
         divisors = [Polynomial(ring, d) for d in g_data]
-        prior = os.environ.get("REPRO_BATCH_KERNELS")
         traces = [DivisionTrace() for _ in range(3)]
-        try:
-            _with_kernel("1")
-            batched = reduce_polynomial(f, divisors, trace=traces[0])
-            _with_kernel("0")
-            legacy = reduce_polynomial(f, divisors, trace=traces[1])
-        finally:
-            if prior is None:
-                os.environ.pop("REPRO_BATCH_KERNELS", None)
-            else:
-                os.environ["REPRO_BATCH_KERNELS"] = prior
+        reduced = reduce_polynomial(f, divisors, trace=traces[0])
+        quotients, remainder = divmod_polynomial(f, divisors, trace=traces[1])
         reference = reference_reduce_polynomial(f, divisors, trace=traces[2])
-        assert batched.terms == legacy.terms == reference.terms
+        assert reduced.terms == remainder.terms == reference.terms
         assert (
             (traces[0].steps, traces[0].peak_terms)
             == (traces[1].steps, traces[1].peak_terms)
             == (traces[2].steps, traces[2].peak_terms)
         )
-
-
-def _record_abstract(circuit, field, kernel, tmp_path, tag):
-    """Record an ``abstract`` REDTRACE under the given kernel path."""
-    text = to_blif(circuit)
-    path = str(tmp_path / f"{tag}.redtrace")
-    _with_kernel(kernel)
-    redtrace.start_recording(
-        path=path,
-        op="abstract",
-        params={
-            "k": field.k,
-            "modulus": f"{field.modulus:#x}",
-            "output_word": None,
-            "case2": "linearized",
-            "jobs": None,
-            "netlist": f"<{tag}>",
-            "netlist_text": text,
-            "netlist_sha256": netlist_sha256(text),
-        },
-    )
-    try:
-        extract_canonical(circuit, field)
-    finally:
-        redtrace.stop_recording()
-    return redtrace.read_trace(path)
-
-
-class TestReplayCrossKernel:
-    @pytest.mark.parametrize("k", [8, 16, 32])
-    def test_legacy_recording_replays_on_batched(self, k, tmp_path):
-        field = GF2m(k)
-        circuit = mastrovito_multiplier(field)
-        if hasattr(circuit, "flatten"):
-            circuit = circuit.flatten()
-        prior = os.environ.get("REPRO_BATCH_KERNELS")
-        try:
-            recorded = _record_abstract(circuit, field, "0", tmp_path, f"m{k}")
-            _with_kernel("1")
-            fresh = execute_header(recorded[0])
-        finally:
-            if prior is None:
-                os.environ.pop("REPRO_BATCH_KERNELS", None)
-            else:
-                os.environ["REPRO_BATCH_KERNELS"] = prior
-        assert diff_events(recorded, fresh) is None
-
-    @pytest.mark.parametrize("k", [8, 16])
-    def test_batched_recording_replays_on_legacy(self, k, tmp_path):
-        field = GF2m(k)
-        circuit = montgomery_multiplier(field)
-        if hasattr(circuit, "flatten"):
-            circuit = circuit.flatten()
-        prior = os.environ.get("REPRO_BATCH_KERNELS")
-        try:
-            recorded = _record_abstract(circuit, field, "1", tmp_path, f"g{k}")
-            _with_kernel("0")
-            fresh = execute_header(recorded[0])
-        finally:
-            if prior is None:
-                os.environ.pop("REPRO_BATCH_KERNELS", None)
-            else:
-                os.environ["REPRO_BATCH_KERNELS"] = prior
-        assert diff_events(recorded, fresh) is None
+        certificate = remainder
+        for q, g in zip(quotients, divisors):
+            certificate = certificate + q * g
+        assert certificate == f
