@@ -1,7 +1,7 @@
 """Algebra hot-path benchmark: verify wall-clock and layer microbenchmarks.
 
-Measures the end-to-end Mastrovito-vs-Montgomery verify at k in {16, 32, 64}
-plus per-layer microbenchmarks (field multiply, polynomial reduction, the
+Measures the Mastrovito-vs-Montgomery verify (structural prepass off) at
+k in {16, 32, 64} plus per-layer microbenchmarks (field multiply, polynomial reduction, the
 full-Groebner ablation), compares against the recorded pre-overhaul
 baseline (``benchmarks/baselines/algebra_pre_pr.json``), and writes a
 ``BENCH_algebra.json`` trajectory (respecting ``$REPRO_BENCH_OUT``).
@@ -54,8 +54,13 @@ def _median_seconds(fn, reps: int) -> float:
 
 
 def bench_verify(k: int, reps: int) -> float:
-    """End-to-end verify wall-clock; circuits are rebuilt per repetition so
-    per-circuit caches cannot leak between samples."""
+    """Verify wall-clock with the structural prepass off; circuits are
+    rebuilt per repetition so per-circuit caches cannot leak between
+    samples.
+
+    The baselines this is compared against predate the prepass, so timing
+    the default (prepass on) would report the prepass's cost as an algebra
+    slowdown; ``perfbench`` measures the full default pipeline."""
     field = GF2m(k)
     samples = []
     for _ in range(reps):
@@ -63,7 +68,7 @@ def bench_verify(k: int, reps: int) -> float:
         impl = montgomery_multiplier(field).flatten()
         gc.collect()  # circuit construction churns enough to trigger GC
         t0 = time.perf_counter()
-        outcome = verify_equivalence(spec, impl, field)
+        outcome = verify_equivalence(spec, impl, field, prepass=False)
         samples.append(time.perf_counter() - t0)
         assert outcome.equivalent, f"k={k} multipliers reported non-equivalent"
     return statistics.median(samples)

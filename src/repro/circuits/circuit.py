@@ -62,10 +62,10 @@ class Circuit:
         self.input_words: Dict[str, List[str]] = {}
         self.output_words: Dict[str, List[str]] = {}
         self._topo_cache: Optional[List[Gate]] = None
-        # Packed parallel-abstraction context (repro.core.abstraction) —
-        # invalidated alongside the topo cache on any structural edit.
-        self._plane_cache = None
         self._levels_cache: Optional[Dict[str, int]] = None
+        # Per-circuit, so generated net names (and RATO's name tie-breaks)
+        # depend only on how this circuit was built.
+        self._net_counter = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -79,7 +79,6 @@ class Circuit:
         self._input_set.add(net)
         self._topo_cache = None
         self._levels_cache = None
-        self._plane_cache = None  # packed parallel-abstraction context
         return net
 
     def add_inputs(self, nets: Iterable[str]) -> List[str]:
@@ -94,7 +93,6 @@ class Circuit:
         self._gates[output] = Gate(output, gate_type, tuple(inputs))
         self._topo_cache = None
         self._levels_cache = None
-        self._plane_cache = None  # packed parallel-abstraction context
         return output
 
     def set_outputs(self, nets: Sequence[str]) -> None:
@@ -119,13 +117,11 @@ class Circuit:
 
     # -- convenience builders used by the generators ----------------------------
 
-    _counter = 0
-
     def fresh_net(self, prefix: str = "n") -> str:
         """A net name not yet used in this circuit."""
         while True:
-            Circuit._counter += 1
-            candidate = f"{prefix}{Circuit._counter}"
+            self._net_counter += 1
+            candidate = f"{prefix}{self._net_counter}"
             if candidate not in self._gates and candidate not in self._input_set:
                 return candidate
 
@@ -339,11 +335,10 @@ class Circuit:
         return self._cone_of(root, topo_pos, input_pos)
 
     def output_cones(self, word: Optional[str] = None) -> List[FaninCone]:
-        """Per-output-bit fanin cones — the unit of parallel abstraction.
+        """Per-output-bit fanin cones.
 
-        Each output bit ``z_i`` depends only on its transitive fanin, so the
-        guided reduction decomposes into one independent problem per cone
-        (cf. Yu & Ciesielski's parallel GF-multiplier verification). With
+        Each output bit ``z_i`` depends only on its transitive fanin (cf.
+        Yu & Ciesielski's per-bit GF-multiplier verification). With
         ``word`` given, returns one cone per bit of that output word (LSB
         first, matching the word's bit order); otherwise one cone per
         primary output net. Cones may share gates: shared logic appears in
@@ -397,7 +392,6 @@ class Circuit:
         self._gates[output] = Gate(output, gate_type, tuple(inputs))
         self._topo_cache = None
         self._levels_cache = None
-        self._plane_cache = None  # packed parallel-abstraction context
 
     def __repr__(self) -> str:
         return (

@@ -8,7 +8,6 @@ Usage (also via ``python -m repro``)::
     repro abstract spec.v -k 16
     repro verify spec.v impl.v -k 16 [--method abstraction|sat|fraig|bdd]
     repro verify spec.v impl.v -k 16 --trace out.trace.json --metrics
-    repro verify spec.v impl.v -k 128 --jobs 4    # cone-sliced parallel path
     repro verify spec.v impl.v -k 16 --no-prepass # skip the structural prepass
     repro check-spec impl.v -k 16 --spec "A*B"    # Lv-style membership test
     repro reveng poly unknown.v                   # recover the field polynomial
@@ -141,7 +140,6 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
                 "modulus": f"{field.modulus:#x}",
                 "output_word": args.output_word,
                 "case2": args.case2,
-                "jobs": args.jobs,
                 # Resolved at record time so replay never consults the live
                 # REPRO_PREPASS environment.
                 "prepass": use_prepass,
@@ -164,7 +162,6 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
             field,
             output_word=args.output_word,
             case2=args.case2,
-            jobs=args.jobs,
         )
     finally:
         if recorder is not None:
@@ -181,12 +178,6 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
     print(f"case:       {result.stats.case}")
     print(f"time:       {result.stats.seconds:.3f}s")
     print(f"peak terms: {result.stats.peak_terms}")
-    if result.stats.jobs:
-        print(
-            f"parallel:   {result.stats.cones} cones on {result.stats.jobs} "
-            f"worker(s), {result.stats.pool_utilization_pct:.0f}% pool "
-            f"utilization"
-        )
     print(f"polynomial: {result.output_word} = {result.polynomial}")
     return 0
 
@@ -197,36 +188,6 @@ def _export_trace(snapshot, path: str) -> None:
     else:
         obs.write_chrome_trace(snapshot, path)
     print(f"trace: {path}")
-
-
-def _print_parallel_metrics(outcome) -> None:
-    """Per-cone division work and pool health from a verify outcome.
-
-    Printed under ``--metrics`` so load imbalance is visible without
-    opening the trace in a viewer; data comes from the per-side
-    ``parallel`` stats block that :func:`canonical_polynomial` attaches
-    when the cone-sliced path ran.
-    """
-    details = getattr(outcome, "details", None) or {}
-    for side in ("spec", "impl"):
-        parallel = (details.get(side) or {}).get("parallel")
-        if not parallel:
-            continue
-        steps = parallel["cone_division_steps"]
-        idle = parallel["pool_idle_seconds"]
-        print(
-            f"parallel[{side}]: {parallel['cones']} cones on "
-            f"{parallel['jobs']} worker(s), "
-            f"{parallel['pool_utilization_pct']:.1f}% utilization "
-            f"({idle:.3f}s idle), table rebuilds: "
-            f"{parallel['table_rebuilds']}"
-        )
-        if steps:
-            print(
-                f"  division steps/cone: min={min(steps)} max={max(steps)} "
-                f"total={sum(steps)}"
-            )
-            print(f"  per cone (LSB first): {steps}")
 
 
 def _print_prepass_metrics(outcome) -> None:
@@ -271,7 +232,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "modulus": f"{field.modulus:#x}",
                 "method": args.method,
                 "seed": args.seed,
-                "jobs": args.jobs,
                 # Resolved at record time so replay never consults the live
                 # REPRO_PREPASS environment.
                 "prepass": use_prepass,
@@ -300,7 +260,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     impl,
                     field,
                     seed=args.seed,
-                    jobs=args.jobs,
                     prepass=use_prepass,
                 )
             elif args.method == "sat":
@@ -329,7 +288,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             _export_trace(snapshot, trace_path)
         if args.metrics:
             print(obs.summary_table(snapshot))
-            _print_parallel_metrics(outcome)
             _print_prepass_metrics(outcome)
     if outcome.status == "equivalent":
         return 0
@@ -371,7 +329,6 @@ def _cmd_reveng_poly(args: argparse.Namespace) -> int:
         cache=_reveng_cache(args),
         all_candidates=args.all,
         limit=args.limit,
-        jobs=args.jobs,
         prepass=args.prepass,
     )
     if args.json:
@@ -406,7 +363,6 @@ def _cmd_reveng_func(args: argparse.Namespace) -> int:
         forms=forms,
         case2=args.case2,
         cache=_reveng_cache(args),
-        jobs=args.jobs,
         prepass=args.prepass,
     )
     if args.json:
@@ -973,14 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--case2", choices=["linearized", "groebner"], default="linearized"
     )
     abstract.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cone-sliced parallel abstraction: N worker processes "
-        "(0 = one per CPU; default serial)",
-    )
-    abstract.add_argument(
         "--record",
         default=None,
         metavar="PATH",
@@ -1009,14 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="seed for the randomized counterexample search (reproducible runs)",
-    )
-    verify.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cone-sliced parallel abstraction: N worker processes "
-        "(0 = one per CPU; default serial; abstraction method only)",
     )
     verify.add_argument(
         "--trace",
@@ -1218,14 +1158,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--case2", choices=["linearized", "groebner"], default="linearized"
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            metavar="N",
-            help="cone-sliced parallel abstraction: N worker processes "
-            "(0 = one per CPU; default serial)",
         )
         add_prepass_flags(p)
         p.add_argument("--json", action="store_true", help="emit JSON")

@@ -25,9 +25,6 @@ Two outcomes (Section 5, step 3):
 from __future__ import annotations
 
 import heapq
-import logging
-import multiprocessing
-import os
 import time
 from collections import Counter
 from itertools import chain
@@ -41,27 +38,23 @@ from ..algebra import (
     reduced_groebner_basis,
     vanishing_ideal,
 )
-from ..circuits import Circuit, FaninCone, GateType
+from ..circuits import Circuit, GateType
 from ..gf import GF2m, coordinate_coefficients, xor_accumulate
 from ..obs import metrics, redtrace
-from ..obs.spans import active_collector, span
+from ..obs.spans import span
 from .bitpoly import SubstitutionEngine
-from .engage import note_serial_run
 from .gate_polys import gate_tail
 from .rato import RatoOrdering, build_rato
 
 __all__ = [
     "AbstractionResult",
     "AbstractionStats",
-    "DEFAULT_PARALLEL_MIN_GATES",
     "abstract_circuit",
     "abstract_all_outputs",
     "extract_canonical",
     "reduce_through_gates",
     "word_ring_for",
 ]
-
-logger = logging.getLogger("repro.core")
 
 
 @dataclass
@@ -76,13 +69,6 @@ class AbstractionStats:
     case: int = 1
     case2_method: Optional[str] = None
     remainder_bits: List[str] = dataclass_field(default_factory=list)
-    # Parallel-path accounting; all zero/empty when the serial path ran.
-    jobs: int = 0  # pool workers used (0 == serial)
-    cones: int = 0
-    cone_division_steps: List[int] = dataclass_field(default_factory=list)
-    pool_idle_seconds: float = 0.0
-    pool_utilization_pct: float = 0.0
-    table_rebuilds: int = 0
 
 
 @dataclass
@@ -332,26 +318,18 @@ def _reduce_to_masks(
     Takes the seed as a plain ``frozenset -> coeff`` dict and returns
     ``(remainder, substitutions, term_traffic, peak_terms)`` with the
     gate-free remainder still in mask encoding (``bit i`` == non-gate
-    variable ``num_gates + i``). The per-cone parallel path calls this
-    directly so cone remainders can travel between processes as packed
-    ints instead of frozensets; :func:`reduce_through_gates` wraps it with
-    the engine write-back.
+    variable ``num_gates + i``); :func:`reduce_through_gates` wraps it
+    with the engine write-back.
 
     The sweep is frontier-batched: one Python op advances a whole term
     group. Gate tails over boolean logic carry coefficient 1 on every
     monomial, so tails are stored as plain *sets* of ``(mask, gates)`` keys
-    and a substitution step becomes set algebra. For a coefficient-free
-    seed (every seed coefficient 1 — the per-cone parallel path) the staged
-    groups themselves are mask sets and each tail monomial folds a whole
-    group into its target with one ``symmetric_difference_update``; for the
-    alpha-weighted serial seed groups stay ``mask -> coeff`` dicts and the
-    fold is one :func:`~repro.gf.xor_accumulate` sweep per tail monomial.
-    Either way the interpreter dispatches per *tail item*, not per product.
-
-    Shifting a group by a tail mask is not injective — two masks differing
-    only inside the tail mask collide, and that pair must *cancel*, so the
-    batch is parity-folded through a Counter whenever ``set(shifted)``
-    loses elements; a bare ``set()`` would dedupe instead.
+    and a substitution step becomes set algebra. Staged groups are
+    ``mask -> coeff`` dicts, and each tail monomial folds a whole group
+    into its target with one :func:`~repro.gf.xor_accumulate` sweep, so the
+    interpreter dispatches per *tail item*, not per product. Shifting a
+    group by a tail mask is not injective; ``xor_accumulate`` XORs
+    colliding keys, so such pairs cancel.
 
     REDTRACE events carry content-based counts sampled at pop boundaries
     (group/tail/live sizes), so the stream is invariant under batching and
@@ -495,51 +473,28 @@ def _reduce_to_masks(
             continue
         tails[out] = acc
 
-    # Stage the seed. A coefficient-free seed keeps every bucket a pure
-    # mask set for the whole sweep (no stored coefficient can ever differ
-    # from 1 when both the seed and all tails are coefficient-1); any other
-    # seed stages mask -> coeff dicts. ``remainder`` follows suit and the
-    # set variant is converted to a dict at the end.
-    pure = True
-    for c in seed_terms.values():
-        if c != 1:
-            pure = False
-            break
-
+    # Stage the seed: gate-free monomials land in the remainder, the rest
+    # under their smallest gate variable.
     staged: Dict[int, dict] = {}
-    if pure:
-        rem_set: set = set()
-        for monomial in seed_terms:
-            mask, gates = encode(monomial)
-            sub = rem_set if not gates else (
-                staged.setdefault(gates[0], {}).setdefault(gates, set())
-            )
-            if mask in sub:
-                sub.remove(mask)
+    remainder: Dict[int, int] = {}
+    for monomial, coeff in seed_terms.items():
+        mask, gates = encode(monomial)
+        sub = remainder if not gates else (
+            staged.setdefault(gates[0], {}).setdefault(gates, {})
+        )
+        cur = sub.get(mask)
+        if cur is None:
+            sub[mask] = coeff
+        else:
+            merged = cur ^ coeff
+            if merged:
+                sub[mask] = merged
             else:
-                sub.add(mask)
-        frontier = rem_set
-    else:
-        remainder = {}
-        for monomial, coeff in seed_terms.items():
-            mask, gates = encode(monomial)
-            sub = remainder if not gates else (
-                staged.setdefault(gates[0], {}).setdefault(gates, {})
-            )
-            cur = sub.get(mask)
-            if cur is None:
-                sub[mask] = coeff
-            else:
-                merged = cur ^ coeff
-                if merged:
-                    sub[mask] = merged
-                else:
-                    del sub[mask]
-        frontier = remainder
+                del sub[mask]
 
     substitutions = 0
     traffic = 0
-    live = len(frontier) + sum(
+    live = len(remainder) + sum(
         len(sub) for bucket in staged.values() for sub in bucket.values()
     )
     peak = 0
@@ -547,7 +502,6 @@ def _reduce_to_masks(
     heapq.heapify(heap)
     queued = set(heap)
     staged_get = staged.get
-    new_group = set if pure else dict
     rtw = redtrace.active_writer()
     while heap:
         var = heapq.heappop(heap)
@@ -584,9 +538,9 @@ def _reduce_to_masks(
                     queued.add(g0)
                 tgt = outer.get(tgates)
                 if tgt is None:
-                    outer[tgates] = tgt = new_group()
+                    outer[tgates] = tgt = {}
             else:
-                tgt = frontier
+                tgt = remainder
             routed.append((tmask, tgates, tgt))
             pairs.append((tmask, tgt))
         ntail = len(routed)
@@ -622,38 +576,9 @@ def _reduce_to_masks(
                         queued.add(g0)
                     tgt = outer.get(kgates)
                     if tgt is None:
-                        outer[kgates] = tgt = new_group()
+                        outer[kgates] = tgt = {}
                     targets.append((tmask, tgt))
-            if pure:
-                if nsub == 1:
-                    (mask0,) = sub
-                    for tmask, tgt in targets:
-                        key = mask0 | tmask
-                        if key in tgt:
-                            tgt.remove(key)
-                            live -= 1
-                        else:
-                            tgt.add(key)
-                            live += 1
-                else:
-                    for tmask, tgt in targets:
-                        if tmask:
-                            shifted = [m | tmask for m in sub]
-                            batch = set(shifted)
-                            if len(batch) != nsub:
-                                # Colliding shifts must cancel pairwise,
-                                # not dedupe: keep odd-parity masks only.
-                                batch = {
-                                    m
-                                    for m, n in Counter(shifted).items()
-                                    if n & 1
-                                }
-                        else:
-                            batch = sub
-                        before = len(tgt)
-                        tgt.symmetric_difference_update(batch)
-                        live += len(tgt) - before
-            elif nsub == 1:
+            if nsub == 1:
                 (mask0, coeff0), = sub.items()
                 for tmask, tgt in targets:
                     key = mask0 | tmask
@@ -679,8 +604,6 @@ def _reduce_to_masks(
         if live > peak:
             peak = live
 
-    if pure:
-        remainder = dict.fromkeys(frontier, 1)
     # Trailing division by the input word relations, still in mask space:
     # the remainder at this point is a dense bit-monomial polynomial (a
     # thousand terms at k=32), so substituting each word's leading bit here
@@ -709,8 +632,8 @@ def _divide_word_relations(
     term_traffic, peak_terms)`` deltas. Vectorised tail-major: *all*
     affected coefficients are scaled by one tail coefficient per
     :meth:`~repro.gf.GF2m.mul_vec` call and each shifted batch folds in
-    with one :func:`~repro.gf.xor_accumulate` sweep. The serial sweep calls
-    this at its end; the parallel merge calls it on the combined remainder.
+    with one :func:`~repro.gf.xor_accumulate` sweep. The sweep calls this
+    at its end.
     """
     substitutions = 0
     traffic = 0
@@ -836,7 +759,7 @@ def _finish_polynomial(
     bit_owner: Dict[int, "tuple[str, int]"],
     stats: AbstractionStats,
 ) -> "tuple[Polynomial, PolynomialRing]":
-    """Case-1/Case-2 finishing shared by the serial and parallel paths."""
+    """Case-1/Case-2 finishing: turn the gate-free remainder into ``G``."""
     word_ring = word_ring_for(field, ordering.input_words)
     leftover_bits = sorted(
         var for var in engine.variables_present() if var not in id_to_word
@@ -868,44 +791,6 @@ def _report_metrics(stats: AbstractionStats) -> None:
     metrics.counter_add(metrics.ABSTRACTION_SUBSTITUTIONS, stats.substitutions)
     metrics.counter_add(metrics.ABSTRACTION_TERM_TRAFFIC, stats.term_traffic)
     metrics.gauge_max(metrics.ABSTRACTION_PEAK_TERMS, stats.peak_terms)
-    if stats.jobs:
-        metrics.counter_add(metrics.PARALLEL_CONES, stats.cones)
-        metrics.counter_add(
-            metrics.PARALLEL_CONE_DIVISION_STEPS, sum(stats.cone_division_steps)
-        )
-        if stats.cone_division_steps:
-            metrics.gauge_max(
-                metrics.PARALLEL_MAX_CONE_DIVISION_STEPS,
-                max(stats.cone_division_steps),
-            )
-        metrics.gauge_max(metrics.PARALLEL_POOL_WORKERS, stats.jobs)
-        metrics.gauge_max(
-            metrics.PARALLEL_POOL_UTILIZATION_PCT, stats.pool_utilization_pct
-        )
-        metrics.counter_add(
-            metrics.PARALLEL_POOL_IDLE_MS, int(stats.pool_idle_seconds * 1000)
-        )
-        metrics.counter_add(metrics.PARALLEL_TABLE_REBUILDS, stats.table_rebuilds)
-
-
-#: Below this gate count the fork/pickle overhead of the pool outweighs the
-#: reduction work and ``extract_canonical`` stays serial regardless of
-#: ``jobs``. Roughly a k=48 multiplier; override with REPRO_PARALLEL_MIN_GATES.
-DEFAULT_PARALLEL_MIN_GATES = 4000
-
-
-def _parallel_min_gates() -> int:
-    return int(os.environ.get("REPRO_PARALLEL_MIN_GATES", DEFAULT_PARALLEL_MIN_GATES))
-
-
-def _resolve_workers(jobs: Optional[int]) -> int:
-    if jobs is None:
-        return 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
 
 
 def extract_canonical(
@@ -914,7 +799,6 @@ def extract_canonical(
     output_word: Optional[str] = None,
     case2: str = "linearized",
     ordering: Optional[RatoOrdering] = None,
-    jobs: Optional[int] = None,
 ) -> AbstractionResult:
     """Derive the canonical polynomial ``Z = G(input words)`` of a circuit.
 
@@ -930,90 +814,12 @@ def extract_canonical(
     ordering:
         Variable ordering; defaults to RATO. Pass
         :func:`~repro.core.rato.build_unrefined_order` output for ablations.
-        A custom ordering forces the serial path — cone slicing assumes the
-        standard RATO layout.
-    jobs:
-        Worker processes for the cone-sliced parallel path: ``None``/``1``
-        stays serial, ``0`` means one per CPU, ``N >= 2`` uses a pool of
-        ``N``. Small circuits (gate count below ``REPRO_PARALLEL_MIN_GATES``,
-        default ``4000``) fall back to serial — slicing overhead would
-        dominate. Above the threshold the engage decision is a cost
-        comparison (:func:`repro.core.engage.parallel_engage`): predicted
-        serial seconds vs. the worker plane's measured dispatch overhead,
-        with ``REPRO_PARALLEL_FORCE=1``/``0`` as the hard override. Any
-        :class:`~repro.jobs.plane.PoolError` also falls back to serial.
-        Both paths produce bit-identical polynomials.
     """
     start = time.perf_counter()
     metrics.counter_add(metrics.ABSTRACTION_EXTRACTIONS, 1)
     if case2 not in ("linearized", "groebner"):
         raise ValueError(f"unknown case2 strategy {case2!r}")
     output_word = _resolve_output_word(circuit, field, output_word)
-    workers = _resolve_workers(jobs)
-    if workers > 1 and multiprocessing.current_process().daemon:
-        # Batch-runner job processes and plane workers are daemonic, and
-        # daemonic processes cannot fork children — a nested pool would die
-        # on startup. Serial is the only viable path here; the layer above
-        # already parallelises across jobs.
-        logger.debug(
-            "parallel abstraction requested inside a daemonic process; "
-            "running serially"
-        )
-        workers = 1
-    if (
-        workers > 1
-        and ordering is None
-        and circuit.num_gates() >= _parallel_min_gates()
-    ):
-        from ..jobs.plane import PoolError
-        from .engage import parallel_engage
-
-        engaged, reason = parallel_engage(workers, circuit.num_gates(), field.k)
-        if engaged:
-            try:
-                return _extract_parallel(
-                    circuit, field, output_word, case2, workers, start
-                )
-            except PoolError as exc:
-                logger.warning(
-                    "parallel abstraction of %r failed (%s); rerunning serially",
-                    output_word,
-                    exc,
-                )
-        else:
-            logger.debug(
-                "parallel abstraction of %r not engaged (%s)", output_word, reason
-            )
-    return _extract_serial(circuit, field, output_word, case2, ordering, start)
-
-
-def abstract_circuit(
-    circuit: Circuit,
-    field: GF2m,
-    output_word: Optional[str] = None,
-    case2: str = "linearized",
-    ordering: Optional[RatoOrdering] = None,
-    jobs: Optional[int] = None,
-) -> AbstractionResult:
-    """Alias of :func:`extract_canonical` (the original entry-point name)."""
-    return extract_canonical(
-        circuit,
-        field,
-        output_word=output_word,
-        case2=case2,
-        ordering=ordering,
-        jobs=jobs,
-    )
-
-
-def _extract_serial(
-    circuit: Circuit,
-    field: GF2m,
-    output_word: str,
-    case2: str,
-    ordering: Optional[RatoOrdering],
-    start: float,
-) -> AbstractionResult:
     ordering = ordering or build_rato(circuit, output_words=[output_word])
     id_of = ordering.var_ids
 
@@ -1060,9 +866,6 @@ def _extract_serial(
         id_to_word, bit_owner, stats,
     )
     stats.seconds = time.perf_counter() - start
-    # Feed the engage policy's serial-rate EMA so the next request for the
-    # same field sizes its parallel decision from measured data.
-    note_serial_run(field.k, stats.gate_count, stats.seconds)
     _report_metrics(stats)
     return AbstractionResult(
         polynomial=polynomial,
@@ -1073,313 +876,16 @@ def _extract_serial(
     )
 
 
-def _reduce_cone(
-    cone: "FaninCone",
-    field: GF2m,
-    bitmap: List[int],
-    derived: "Optional[tuple]" = None,
-) -> "tuple[List[int], int, int, int]":
-    """Reduce one output-bit cone; masks come back in the *parent* layout.
-
-    The cone's subcircuit gets its own RATO (gate nets only — a cone carries
-    no word annotations), is seeded with the bare root variable at
-    coefficient 1 and swept with :func:`_reduce_to_masks`. Over GF(2) logic
-    every gate-tail coefficient is 1 and the word-relation division hasn't
-    happened yet, so every surviving cone coefficient is exactly 1 — the
-    remainder is a pure *set* of input-bit masks, and the alpha-power
-    scaling waits for the parent merge. ``bitmap[j]`` is the parent-layout
-    mask bit of ``cone.inputs[j]``; returns
-    ``(masks, substitutions, term_traffic, peak_terms)``.
-
-    ``derived`` optionally supplies a precomputed ``(subcircuit, ordering)``
-    pair — resident plane workers memoise these per cone across maps, where
-    they otherwise dominate the re-run cost of an unchanged circuit.
-    """
-    if not cone.gates:
-        # Output bit wired straight to a primary input.
-        return [bitmap[cone.inputs.index(cone.root)]], 0, 0, 1
-    if derived is None:
-        sub = cone.subcircuit()
-        sub_ordering = build_rato(sub, output_words=[])
-    else:
-        sub, sub_ordering = derived
-    seed = {frozenset((sub_ordering.var_ids[cone.root],)): 1}
-    remainder, substitutions, traffic, peak = _reduce_to_masks(
-        sub, seed, field, sub_ordering
-    )
-    masks: List[int] = []
-    for mask, coeff in remainder.items():
-        if coeff != 1:  # unreachable for boolean gate tails; guard the merge
-            raise RuntimeError(
-                f"cone {cone.root!r} produced coefficient {coeff:#x}, expected 1"
-            )
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= bitmap[low.bit_length() - 1]
-            mask ^= low
-        masks.append(out)
-    return masks, substitutions, traffic, peak
-
-
-def _cone_task(context: Dict, index: int) -> "tuple[bytes, Dict]":
-    """Plane-worker task: reduce one cone of the shipped context.
-
-    ``context`` travels to the worker once per circuit (epoch-tagged — see
-    :mod:`repro.jobs.plane`); tasks are bare cone indices. The worker's
-    context copy is resident for the epoch's lifetime, so per-circuit
-    derived state is memoised on it: the field object (its GF tables were
-    warmed when the context was published), each cone's extracted
-    subcircuit + RATO, and — because the context identity is the content
-    hash of its packed bytes, making every cone reduction a pure function
-    of ``(context, index)`` — the finished cone results themselves. A
-    worker asked to re-reduce a cone of a circuit it already holds answers
-    from memory; the memo dies with the context when a new epoch is
-    published. This is what makes repeated maps of an unchanged circuit
-    (the resident-service steady state) pay: they cost pipe traffic and
-    the parent merge, not re-sweeps.
-    """
-    memo = context.get("_results")
-    if memo is None:
-        memo = context["_results"] = {}
-    hit = memo.get(index)
-    if hit is not None:
-        return hit
-    field = context.get("_field")
-    if field is None:
-        field = GF2m(context["k"], context["modulus"])
-        context["_field"] = field
-    cone = context["cones"][index]
-    derived_cache = context.get("_derived")
-    if derived_cache is None:
-        derived_cache = context["_derived"] = {}
-    derived = derived_cache.get(index)
-    if derived is None and cone.gates:
-        sub = cone.subcircuit()
-        derived = derived_cache[index] = (sub, build_rato(sub, output_words=[]))
-    with span(
-        "cone_reduction", root=cone.root, bit=index, gates=cone.num_gates()
-    ):
-        masks, steps, traffic, peak = _reduce_cone(
-            cone, field, context["bitmaps"][index], derived=derived
-        )
-    mask_bytes = context["mask_bytes"]
-    payload = b"".join(m.to_bytes(mask_bytes, "little") for m in masks)
-    result = (
-        payload,
-        {
-            "bit": index,
-            "root": cone.root,
-            "gates": cone.num_gates(),
-            "division_steps": steps,
-            "term_traffic": traffic,
-            "peak_terms": peak,
-            "terms": len(masks),
-        },
-    )
-    memo[index] = result
-    return result
-
-
-def _plane_slices(circuit: Circuit, field: GF2m, output_word: str):
-    """RATO + cone slices + the packed plane context, cached on the circuit.
-
-    Slicing and context packing cost tens of milliseconds on k=96-sized
-    multipliers — per *circuit* costs, not per map. The cache lives on the
-    circuit object and is invalidated by every structural edit (see
-    ``Circuit._plane_cache``), keyed on the things that change the packed
-    bytes: output word, field, gate count and the tracing flag (the
-    context embeds it).
-    """
-    tracing = metrics.is_enabled()
-    token = (output_word, field.k, field.modulus, circuit.num_gates(), tracing)
-    cached = getattr(circuit, "_plane_cache", None)
-    if cached is not None and cached[0] == token:
-        return cached[1]
-
-    ordering = build_rato(circuit, output_words=[output_word])
-    id_of = ordering.var_ids
-    num_gates = len(ordering.gate_nets)
-    mask_bytes = (len(ordering.variables) - num_gates + 7) // 8
-    with span("cone_slicing", output=output_word):
-        cones = circuit.output_cones(word=output_word)
-        # Parent-layout mask bit of each cone input, precomputed so workers
-        # remap without needing the parent id tables.
-        bitmaps = [
-            [1 << (id_of[name] - num_gates) for name in cone.inputs]
-            for cone in cones
-        ]
-    from ..jobs.plane import pack_context
-
-    context = {
-        "cones": cones,
-        "bitmaps": bitmaps,
-        "k": field.k,
-        "modulus": field.modulus,
-        "mask_bytes": mask_bytes,
-    }
-    packed = pack_context(
-        _cone_task, context, field_key=(field.k, field.modulus), tracing=tracing
-    )
-    value = (ordering, cones, bitmaps, mask_bytes, context, packed)
-    circuit._plane_cache = (token, value)
-    return value
-
-
-def _extract_parallel(
+def abstract_circuit(
     circuit: Circuit,
     field: GF2m,
-    output_word: str,
-    case2: str,
-    workers: int,
-    start: float,
+    output_word: Optional[str] = None,
+    case2: str = "linearized",
+    ordering: Optional[RatoOrdering] = None,
 ) -> AbstractionResult:
-    """Cone-sliced abstraction across ``workers`` plane processes.
-
-    Slices the circuit into per-output-bit fanin cones, reduces each cone
-    independently (coefficient-free — see :func:`_reduce_cone`), then
-    rebuilds ``sum_i alpha^i * r_i`` by scaling each cone's masks at merge
-    time and finishes with the same trailing word-relation division and
-    Case-1/Case-2 steps as the serial path. Because substitution rewriting
-    is confluent and the seed is linear in the ``z_i``, this is term-for-term
-    identical to reducing the whole seed in one sweep.
-    """
-    from ..jobs.plane import run_pool
-
-    ordering, cones, bitmaps, mask_bytes, context, packed = _plane_slices(
-        circuit, field, output_word
-    )
-    num_gates = len(ordering.gate_nets)
-    alpha_powers = field.alpha_powers()
-
-    stats = AbstractionStats(
-        gate_count=circuit.num_gates(), jobs=workers, cones=len(cones)
-    )
-    collector = active_collector()
-    with span(
-        "spoly_reduction",
-        gates=circuit.num_gates(),
-        output=output_word,
-        workers=workers,
-        cones=len(cones),
-    ):
-        # Heaviest cones first: the high output bits of a multiplier own the
-        # deepest fanin, and scheduling them early keeps the pool's tail
-        # short when cone costs are skewed.
-        heavy_first = sorted(
-            range(len(cones)), key=lambda i: -cones[i].num_gates()
-        )
-        # Cone events are recorded by the parent (forked workers never
-        # write — see redtrace.reset_after_fork): cone_start here in
-        # dispatch order, cone_end below in bit order, so a parallel
-        # recording replays byte-identically regardless of completion
-        # order.
-        rtw = redtrace.active_writer()
-        if rtw is not None:
-            for i in heavy_first:
-                rtw.emit(
-                    "cone_start",
-                    bit=i,
-                    root=cones[i].root,
-                    gates=cones[i].num_gates(),
-                )
-        pool_start = time.perf_counter()
-        results = run_pool(
-            _cone_task,
-            heavy_first,
-            workers,
-            field_key=(field.k, field.modulus),
-            context=context,
-            packed=packed,
-        )
-        pool_wall = time.perf_counter() - pool_start
-
-        merged: Dict[int, int] = {}
-        cone_steps = [0] * len(cones)
-        substitutions = traffic = peak = 0
-        busy = 0.0
-        rebuilds_by_pid: Dict[int, int] = {}
-        # Merge in bit order (not completion order): the XOR-accumulated
-        # contents are order-independent, and a deterministic iteration
-        # keeps the recorded cone_end stream replayable.
-        for res in sorted(results, key=lambda r: r.index):
-            info = res.stats
-            index = res.index
-            if rtw is not None:
-                rtw.emit(
-                    "cone_end",
-                    bit=index,
-                    root=info["root"],
-                    gates=info["gates"],
-                    division_steps=info["division_steps"],
-                    terms=info["terms"],
-                )
-            cone_steps[index] = info["division_steps"]
-            substitutions += info["division_steps"]
-            traffic += info["term_traffic"]
-            if info["peak_terms"] > peak:
-                peak = info["peak_terms"]
-            busy += info["seconds"]
-            pid = info["pid"]
-            if info["table_rebuilds"] > rebuilds_by_pid.get(pid, 0):
-                rebuilds_by_pid[pid] = info["table_rebuilds"]
-            if res.spans and collector is not None:
-                collector.merge({"spans": res.spans})
-            scale = alpha_powers[index]
-            payload = res.payload
-            for off in range(0, len(payload), mask_bytes):
-                mask = int.from_bytes(payload[off : off + mask_bytes], "little")
-                cur = merged.get(mask, 0) ^ scale
-                if cur:
-                    merged[mask] = cur
-                else:
-                    del merged[mask]
-        if len(merged) > peak:
-            peak = len(merged)
-
-        word_relations, id_to_word, bit_owner = _word_relation_tables(
-            circuit, ordering, alpha_powers
-        )
-        div_subs, div_traffic, div_peak = _divide_word_relations(
-            merged, word_relations, num_gates, field
-        )
-        substitutions += div_subs
-        traffic += div_traffic
-        if div_peak > peak:
-            peak = div_peak
-
-    engine = SubstitutionEngine(field, indexed_vars=set())
-    terms = engine.terms
-    for mask, coeff in merged.items():
-        vars_: List[int] = []
-        while mask:
-            low = mask & -mask
-            vars_.append(num_gates + low.bit_length() - 1)
-            mask ^= low
-        terms[frozenset(vars_)] = coeff
-
-    stats.substitutions = substitutions
-    stats.term_traffic = traffic
-    stats.peak_terms = peak
-    stats.cone_division_steps = cone_steps
-    stats.table_rebuilds = sum(rebuilds_by_pid.values())
-    capacity = workers * pool_wall
-    if capacity > 0:
-        stats.pool_idle_seconds = max(0.0, capacity - busy)
-        stats.pool_utilization_pct = min(100.0, 100.0 * busy / capacity)
-
-    polynomial, word_ring = _finish_polynomial(
-        circuit, field, ordering, output_word, case2, engine,
-        id_to_word, bit_owner, stats,
-    )
-    stats.seconds = time.perf_counter() - start
-    _report_metrics(stats)
-    return AbstractionResult(
-        polynomial=polynomial,
-        output_word=output_word,
-        input_words=list(ordering.input_words),
-        ring=word_ring,
-        stats=stats,
+    """Alias of :func:`extract_canonical` (the original entry-point name)."""
+    return extract_canonical(
+        circuit, field, output_word=output_word, case2=case2, ordering=ordering
     )
 
 
@@ -1387,7 +893,6 @@ def abstract_all_outputs(
     circuit: Circuit,
     field: GF2m,
     case2: str = "linearized",
-    jobs: Optional[int] = None,
 ) -> Dict[str, AbstractionResult]:
     """Abstract every output word of a multi-output circuit.
 
@@ -1396,8 +901,6 @@ def abstract_all_outputs(
     and returns ``{output word: AbstractionResult}``.
     """
     return {
-        word: extract_canonical(
-            circuit, field, output_word=word, case2=case2, jobs=jobs
-        )
+        word: extract_canonical(circuit, field, output_word=word, case2=case2)
         for word in circuit.output_words
     }

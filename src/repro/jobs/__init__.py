@@ -25,7 +25,7 @@ from .manifest import (
     load_manifest,
     manifest_from_dict,
 )
-from .plane import PoolError, PoolResult, run_pool
+from .plane import PoolError, PoolResult
 from .runner import BatchReport, run_batch
 
 __all__ = [

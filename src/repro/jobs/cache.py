@@ -155,7 +155,6 @@ def polynomial_payload(result: AbstractionResult) -> Dict:
             "peak_terms": result.stats.peak_terms,
             "substitutions": result.stats.substitutions,
             "gates": result.stats.gate_count,
-            "cones": result.stats.cones,
         },
     }
 

@@ -75,11 +75,6 @@ _PHASE_OF_SPAN = {
     "spoly_reduction": "spoly_reduction",
     "case2_finish": "spoly_reduction",
     "coeff_match": "coeff_match",
-    # The parallel path's "cone_slicing"/"cone_reduction" spans are
-    # deliberately unmapped: the umbrella "spoly_reduction" span already
-    # covers the pool's wall clock, and folding the per-cone worker spans
-    # in as well would double-count the phase. They still ride along in
-    # ``telemetry`` for flamegraphs.
 }
 
 #: Phases emitted as explicit zeros when nothing contributed to them
@@ -173,7 +168,6 @@ def run_verify(
         field,
         case2=params.get("case2", "linearized"),
         seed=seed,
-        jobs=params.get("jobs"),
         cache=cache,
         counters=counters,
         inflight=inflight,
@@ -196,14 +190,10 @@ def run_verify(
         "impl_cache_hit": details["impl_cache_hit"],
         "spec_case": spec_stats["case"],
         "impl_case": impl_stats["case"],
-        # Cost-model features: field width, total gate count across both
-        # sides (raw, pre-prepass), total cone count (0 on the serial path /
-        # old cache entries).
+        # Cost-model features: field width and total gate count across both
+        # sides (raw, pre-prepass).
         "k": field.k,
         "gates": spec.num_gates() + impl.num_gates(),
-        "cones": (
-            (spec_stats.get("cones") or 0) + (impl_stats.get("cones") or 0)
-        ),
     }
     prepass_stats = {
         side: stats["prepass"]
@@ -230,7 +220,6 @@ def run_abstract(
         field,
         output_word=params.get("output_word"),
         case2=params.get("case2", "linearized"),
-        jobs=params.get("jobs"),
         cache=cache,
         counters=counters,
         inflight=inflight,
@@ -246,7 +235,6 @@ def run_abstract(
         "abstraction_stats": payload["stats"],
         "k": field.k,
         "gates": circuit.num_gates(),
-        "cones": payload["stats"].get("cones") or 0,
     }
     if probe.prepass is not None:
         record["prepass"] = probe.prepass.stats()
@@ -277,7 +265,6 @@ def run_reveng(
     counters = counters if counters is not None else _new_counters()
     mode = params.get("mode", "poly")
     case2 = params.get("case2", "linearized")
-    jobs = params.get("jobs")
     prepass = params.get("prepass")
     circuit = _load_circuit(params, "netlist")
 
@@ -291,7 +278,6 @@ def run_reveng(
             cache=cache,
             all_candidates=bool(params.get("all", False)),
             limit=int(params["limit"]) if params.get("limit") is not None else None,
-            jobs=jobs,
             inflight=inflight,
             prepass=prepass,
         )
@@ -307,7 +293,6 @@ def run_reveng(
             forms=params.get("forms") or (),
             case2=case2,
             cache=cache,
-            jobs=jobs,
             inflight=inflight,
             prepass=prepass,
         )

@@ -30,7 +30,7 @@ Job types:
     omitted), ``spec_form``, ``all`` (census every match), ``limit``.
     ``mode: "func"`` identifies which arithmetic function the netlist
     computes over a *known* field — fields: ``netlist``, ``k``; optional
-    ``modulus``, ``forms``. Both accept ``case2``, ``jobs`` and
+    ``modulus``, ``forms``. Both accept ``case2`` and
     ``prepass`` (a boolean overriding the structural pre-reduction's
     ``REPRO_PREPASS`` default, accepted by verify/abstract too).
 ``sleep`` / ``crash``
@@ -66,15 +66,15 @@ _PATH_FIELDS = ("spec", "impl", "netlist")
 
 #: Per-type optional fields (beyond the engine-level timeout/retries/seed).
 _OPTIONAL_FIELDS = {
-    "verify": ("modulus", "case2", "jobs", "prepass"),
-    "abstract": ("modulus", "case2", "output_word", "jobs", "prepass"),
+    "verify": ("modulus", "case2", "prepass"),
+    "abstract": ("modulus", "case2", "output_word", "prepass"),
     "check-spec": ("modulus", "output_word"),
     # "k"/"modulus" matter in func mode (known field); "m" in poly mode
     # (unknown field, degree only). Mode-dependent requirements are checked
     # at execution time, not manifest-load time.
     "reveng": (
         "mode", "m", "k", "modulus", "case2", "spec_form", "forms", "all",
-        "limit", "jobs", "prepass",
+        "limit", "prepass",
     ),
     "sleep": (),
     "crash": ("fail_attempts",),

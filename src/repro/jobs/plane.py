@@ -1,13 +1,10 @@
 """Resident worker plane: pre-forked, GF-table-warm processes fed over pipes.
 
-:func:`run_pool` is the one entry point for "map hundreds of sub-100ms
-tasks that all read the same circuit across processes" (the cone-sliced
-parallel abstraction). A per-map fork pool would pay a full ``fork + GF
-warm + teardown`` on every map — 0.1–0.6 s on the benchmark boxes, which
-is why early parallel runs recorded *slowdowns* (the fork-era numbers
-stay under ``benchmarks/baselines/``). The plane keeps one set
-of worker processes alive for the life of the host process and amortises
-all of that:
+:meth:`WorkerPlane.map` runs ``fn(context, index)`` tasks in worker
+processes that stay alive for the life of the host process; the service
+scheduler runs every job body through it (:func:`get_plane`), so a job
+that crashes or is OOM-killed takes down a respawnable worker, not the
+daemon, and no job pays a ``fork + GF warm`` of its own:
 
 - **pre-forked, reused workers** — forked once (lazily, on first map, or
   on demand when concurrent maps need more), each holding a duplex pipe to
@@ -15,11 +12,11 @@ all of that:
   time, and releases them; two threads can run maps concurrently on
   disjoint workers — there is no module-global context and no global lock.
 - **epoch-tagged context** — the task context (callable + data + field
-  key + tracing flag) is pickled once per *circuit*, content-hashed, and
+  key + tracing flag) is pickled once per map, content-hashed, and
   published to a worker only when the worker does not already hold that
   exact context. Tasks on the wire are packed id chunks tagged
   ``(epoch, seq)``; a worker holding a different epoch refuses the chunk
-  with a ``stale`` reply instead of computing against the wrong circuit.
+  with a ``stale`` reply instead of computing against the wrong context.
 - **GF-table warm on publish** — the worker warms the context's
   ``(k, modulus)`` tables when it accepts the context, then reports
   ``table_builds`` deltas per task, so callers can assert no mid-map
@@ -35,13 +32,16 @@ all of that:
 
 Every failure surfaces as :class:`PoolError` — including a context that
 cannot be pickled (closures over live objects), which never reaches a
-worker — so callers with a serial fallback catch just that one type.
+worker — so callers with an inline fallback catch just that one type.
 
-Workers are daemonic: they die with the parent, and — being daemonic —
-can never fork children of their own, so work dispatched *onto* the plane
-(service jobs, cone maps) automatically degrades to serial inside the
-worker instead of fork-bombing. A daemonic process asking for a plane gets
-:class:`PoolError` too.
+Workers die with their host. An orderly exit shuts them down
+(:func:`reset_plane` runs at exit); a host killed outright (SIGKILL) never
+gets to, and a forked worker may still hold pipe ends that keep its own
+pipe from reporting EOF, so an idle worker also checks every
+:data:`_HOST_CHECK_SECONDS` that its parent is still the host that forked
+it, and exits when it is not. Workers are daemonic, so they can never fork
+children of their own; a daemonic process asking for a plane gets
+:class:`PoolError`.
 """
 
 from __future__ import annotations
@@ -69,19 +69,17 @@ __all__ = [
     "PoolResult",
     "WorkerPlane",
     "get_plane",
-    "pack_context",
     "plane_cap",
-    "run_pool",
 ]
 
 logger = logging.getLogger("repro.jobs")
 
-#: EMA smoothing for the measured per-map dispatch overhead.
-_OVERHEAD_ALPHA = 0.3
+#: How often an idle worker checks that its host is still alive.
+_HOST_CHECK_SECONDS = 1.0
 
 #: How long `checkout` waits for a free worker before giving up. Maps hold
 #: workers only while computing, so a long wait means the plane is wedged;
-#: failing lets the caller take its serial fallback.
+#: failing lets the caller take its inline fallback.
 _CHECKOUT_TIMEOUT = float(os.environ.get("REPRO_PLANE_CHECKOUT_TIMEOUT", "30"))
 
 
@@ -132,13 +130,15 @@ def plane_cap() -> int:
 # -- worker side --------------------------------------------------------------
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, parent_end, host_pid: int) -> None:
     """Worker loop: receive context publishes and tasks, send results.
 
     Runs in a freshly forked daemonic child. The parent's tracing state and
     REDTRACE writer survive the fork, so the first act is to neutralise
-    them — cone/task events are re-emitted deterministically by the parent
-    at merge time, never written from here.
+    them — workers never write trace events. ``parent_end`` is the host's
+    end of this worker's pipe, inherited through the fork and closed here;
+    the loop exits on EOF, on ``exit``, or once ``host_pid`` is no longer
+    the parent (the host died without shutting the plane down).
     """
     # A parent hosting the plane may have custom SIGTERM/SIGINT handlers
     # (the service daemon's graceful-drain hook, for one). Inherited through
@@ -149,6 +149,7 @@ def _worker_main(conn) -> None:
     obs.disable()
     obs.reset_context()
     obs.redtrace.reset_after_fork()
+    parent_end.close()
     ctx_fn: Optional[Callable[[Any, int], Tuple[Any, Dict]]] = None
     ctx_data: Any = None
     ctx_epoch = -1
@@ -156,6 +157,10 @@ def _worker_main(conn) -> None:
     warm_builds = 0
     while True:
         try:
+            if not conn.poll(_HOST_CHECK_SECONDS):
+                if os.getppid() != host_pid:
+                    break
+                continue
             message = conn.recv()
         except (EOFError, OSError):
             break
@@ -189,7 +194,6 @@ def _worker_main(conn) -> None:
                     obs.enable(collector)
                 try:
                     for index in chunk:
-                        builds_before = logtables.table_builds()
                         started = time.perf_counter()
                         payload, stats = ctx_fn(ctx_data, index)
                         stats = dict(stats)
@@ -200,10 +204,6 @@ def _worker_main(conn) -> None:
                         # every later task in this worker loud about it.
                         stats["table_rebuilds"] = (
                             logtables.table_builds() - warm_builds
-                        )
-                        stats.setdefault(
-                            "warm_builds_delta",
-                            logtables.table_builds() - builds_before,
                         )
                         outputs.append((index, payload, stats))
                 finally:
@@ -271,7 +271,6 @@ class WorkerPlane:
         self._ctx: Optional[Tuple[str, int, bytes]] = None  # (key, epoch, blob)
         self._wid = itertools.count(1)
         self._closed = False
-        self._overhead_ema: Optional[float] = None
         self._pid = os.getpid()
         self._mp = multiprocessing.get_context("fork")
 
@@ -281,24 +280,6 @@ class WorkerPlane:
     def workers_alive(self) -> int:
         with self._cond:
             return sum(1 for w in self._workers if w.alive())
-
-    def dispatch_overhead(self, calibrate: bool = True) -> float:
-        """Measured per-map dispatch overhead in seconds (EMA).
-
-        Before any real map has run, optionally calibrates with a no-op
-        map so the engage policy has a real number instead of a guess.
-        """
-        if self._overhead_ema is None and calibrate and not self._closed:
-            try:
-                started = time.perf_counter()
-                self.map(_noop_task, None, [0], 1, tracing=False)
-                wall = time.perf_counter() - started
-                with self._cond:
-                    if self._overhead_ema is None:
-                        self._overhead_ema = wall
-            except PoolError:
-                return float("inf")
-        return self._overhead_ema if self._overhead_ema is not None else float("inf")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -337,7 +318,7 @@ class WorkerPlane:
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         process = self._mp.Process(
             target=_worker_main,
-            args=(child_conn,),
+            args=(child_conn, parent_conn, os.getpid()),
             name=f"repro-plane-{next(self._wid)}",
             daemon=True,
         )
@@ -358,7 +339,7 @@ class WorkerPlane:
         Returns as soon as at least one worker is available (more join the
         map only if free *now*); waits when the plane is fully checked out,
         and raises :class:`PoolError` if nothing frees up within
-        ``timeout`` — the caller's serial fallback beats a wedged wait.
+        ``timeout`` — the caller's inline fallback beats a wedged wait.
         """
         deadline = time.monotonic() + timeout
         with self._cond:
@@ -423,17 +404,19 @@ class WorkerPlane:
         timeout: Optional[float] = None,
         retries: int = 1,
         tracing: Optional[bool] = None,
-        packed: Optional[bytes] = None,
     ) -> List[PoolResult]:
         """Map ``fn(context, index)`` over ``indices`` on checked-out workers.
 
         ``fn`` must be picklable by reference (a module-level callable) and
         ``context`` by value; both ship once per distinct context, after
-        which tasks are three small integers on a pipe. Callers that map
-        the same context repeatedly can pre-pack it once with
-        :func:`pack_context` and pass ``packed`` to skip re-pickling.
-        Results come back in completion order; callers index by
-        :attr:`PoolResult.index`.
+        which tasks are three small integers on a pipe. A context that
+        cannot be pickled raises :class:`PoolError` before any worker sees
+        it. ``fn`` returns ``(payload, stats_dict)``; ``field_key`` is the
+        ``(k, modulus)`` whose GF tables workers pre-build, ``timeout``
+        bounds the whole map's wall clock and ``retries`` is the per-task
+        crash budget. Results come back in completion order; callers index
+        by :attr:`PoolResult.index`. Every failure surfaces as
+        :class:`PoolError`.
         """
         if workers < 1:
             raise ValueError("plane map needs at least one worker")
@@ -445,11 +428,17 @@ class WorkerPlane:
             raise PoolError("daemonic process cannot host a worker plane")
         if tracing is None:
             tracing = obs.is_enabled()
-        blob = (
-            packed
-            if packed is not None
-            else pack_context(fn, context, field_key, tracing)
-        )
+        try:
+            blob = pickle.dumps(
+                (fn, context, field_key, tracing),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        except Exception as exc:
+            raise PoolError(
+                f"plane context not picklable: {type(exc).__name__}: {exc}"
+            ) from exc
+        # The blob's content hash is the context identity: two maps with
+        # the same bytes share one worker-side publish.
         key = hashlib.sha256(blob).hexdigest()
         with self._cond:
             if self._ctx is not None and self._ctx[0] == key:
@@ -460,8 +449,7 @@ class WorkerPlane:
                 self._ctx = (key, epoch, blob)
                 metrics.counter_add(metrics.PLANE_CTX_PUBLISHES, 1)
 
-        started = time.perf_counter()
-        deadline = started + timeout if timeout is not None else None
+        deadline = time.monotonic() + timeout if timeout is not None else None
         granted = self._checkout(min(workers, len(indices)), key)
         metrics.counter_add(metrics.PLANE_MAPS, 1)
         queue: deque = deque(indices)
@@ -469,7 +457,6 @@ class WorkerPlane:
         crashes: Dict[int, int] = {}
         results: List[PoolResult] = []
         seq = itertools.count()
-        busy_seconds = 0.0
         # Pack several task ids per pipe message: ~8 chunks per worker keeps
         # round-trip count low without giving up much load balancing.
         chunk_size = max(1, min(16, len(indices) // (len(granted) * 8) or 1))
@@ -573,7 +560,6 @@ class WorkerPlane:
                                     snapshot if position == 0 else None,
                                 )
                             )
-                            busy_seconds += stats.get("seconds", 0.0)
                         del inflight[conn]
                         feed(worker)
                     elif kind == "err":
@@ -593,7 +579,7 @@ class WorkerPlane:
             if not completed:
                 # Workers with a task still in flight are computing results
                 # nobody will read (timeout / fatal map error): kill them so
-                # they stop competing with the serial fallback for CPU.
+                # they stop competing with the caller's fallback for CPU.
                 dead = {w for (w, _, _) in inflight.values()}
                 for worker in dead:
                     worker.kill()
@@ -601,104 +587,7 @@ class WorkerPlane:
                     if worker in granted:
                         granted.remove(worker)
             self._release(granted)
-        wall = time.perf_counter() - started
-        parallelism = max(1, min(len(granted) or 1, os.cpu_count() or 1))
-        overhead = max(0.0, wall - busy_seconds / parallelism)
-        with self._cond:
-            if self._overhead_ema is None:
-                self._overhead_ema = overhead
-            else:
-                self._overhead_ema = (
-                    (1 - _OVERHEAD_ALPHA) * self._overhead_ema
-                    + _OVERHEAD_ALPHA * overhead
-                )
-        metrics.gauge_max(
-            metrics.PLANE_DISPATCH_OVERHEAD_MS, int(overhead * 1000)
-        )
         return results
-
-
-def pack_context(
-    fn: Callable[[Any, int], Tuple[Any, Dict]],
-    context: Any,
-    field_key: Optional[Tuple[int, int]] = None,
-    tracing: Optional[bool] = None,
-) -> bytes:
-    """Serialise a plane context once, for reuse across many maps.
-
-    The blob's content hash is the context identity: two maps passing the
-    same bytes share one worker-side publish. A context that cannot be
-    pickled raises :class:`PoolError`.
-    """
-    if tracing is None:
-        tracing = obs.is_enabled()
-    try:
-        return pickle.dumps(
-            (fn, context, field_key, tracing), protocol=pickle.HIGHEST_PROTOCOL
-        )
-    except Exception as exc:
-        raise PoolError(
-            f"plane context not picklable: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
-def _noop_task(context: Any, index: int) -> Tuple[Any, Dict]:
-    """Calibration task: measures pure dispatch cost."""
-    return None, {}
-
-
-#: Sentinel distinguishing "no context" (``fn(index)`` signature) from an
-#: explicit ``context=None``.
-_NO_CONTEXT = object()
-
-
-def _call_plain(fn: Callable[[int], Tuple[Any, Dict]], index: int):
-    """Plane adapter for zero-context callables: ``fn`` is the context."""
-    return fn(index)
-
-
-def run_pool(
-    fn: Callable[..., Tuple[Any, Dict]],
-    indices: Sequence[int],
-    workers: int,
-    field_key: Optional[Tuple[int, int]] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    context: Any = _NO_CONTEXT,
-    packed: Optional[bytes] = None,
-) -> List[PoolResult]:
-    """Map ``fn`` over ``indices`` on the process-wide plane.
-
-    With ``context`` given, ``fn`` must be a module-level callable invoked
-    as ``fn(context, index)``; the pair ships to the plane workers once per
-    distinct context. Without it, ``fn(index)`` is called and ``fn`` itself
-    is the context. Either way the context must pickle — a closure over
-    live objects raises :class:`PoolError` before any worker sees it.
-
-    ``fn`` returns ``(payload, stats_dict)``. ``indices`` controls dispatch
-    order: callers submit heavy tasks first to keep the schedule's tail
-    short. ``field_key`` is the ``(k, modulus)`` whose GF tables workers
-    pre-build. ``timeout`` bounds the whole map's wall clock; ``retries``
-    is the per-task crash budget. ``packed`` is a :func:`pack_context`
-    blob to reuse instead of re-pickling.
-
-    Results come back in completion order; callers index by
-    :attr:`PoolResult.index`. Every failure surfaces as :class:`PoolError`.
-    """
-    if workers < 1:
-        raise ValueError("run_pool needs at least one worker")
-    if context is _NO_CONTEXT:
-        fn, context = _call_plain, fn
-    return get_plane().map(
-        fn,
-        context,
-        indices,
-        workers,
-        field_key=field_key,
-        timeout=timeout,
-        retries=retries,
-        packed=packed,
-    )
 
 
 # -- process-global singleton -------------------------------------------------
@@ -713,7 +602,7 @@ def get_plane() -> WorkerPlane:
     A plane inherited through a fork is useless (its pipes are shared with
     the real parent), so a child that asks gets a fresh one — unless it is
     daemonic, in which case it cannot fork workers at all and the caller
-    should fall back to serial, which :class:`PoolError` triggers.
+    should run the work inline, which :class:`PoolError` triggers.
     """
     global _PLANE
     if multiprocessing.current_process().daemon:

@@ -32,16 +32,8 @@ __all__ = [
     "DIVISION_STEPS",
     "FRAIG_MERGED",
     "FRAIG_QUERIES",
-    "PARALLEL_CONES",
-    "PARALLEL_CONE_DIVISION_STEPS",
-    "PARALLEL_MAX_CONE_DIVISION_STEPS",
-    "PARALLEL_POOL_IDLE_MS",
-    "PARALLEL_POOL_UTILIZATION_PCT",
-    "PARALLEL_POOL_WORKERS",
-    "PARALLEL_TABLE_REBUILDS",
     "PLANE_CTX_PUBLISHES",
     "PLANE_CTX_REUSED",
-    "PLANE_DISPATCH_OVERHEAD_MS",
     "PLANE_MAPS",
     "PLANE_STALE_REFUSALS",
     "PLANE_TASK_RETRIES",
@@ -123,26 +115,13 @@ ABSTRACTION_PEAK_TERMS = "abstraction.peak_terms"  # gauge
 CACHE_HITS = "cache.hits"
 CACHE_MISSES = "cache.misses"
 
-# Cone-sliced parallel abstraction: per-cone work plus pool health. The
-# idle/utilization pair makes load imbalance visible without a trace viewer
-# (``repro verify --metrics``); the table-rebuilds counter should stay at 0 —
-# workers warm their GF tables in the pool initializer.
-PARALLEL_CONES = "parallel.cones"
-PARALLEL_CONE_DIVISION_STEPS = "parallel.cone_division_steps"
-PARALLEL_MAX_CONE_DIVISION_STEPS = "parallel.max_cone_division_steps"  # gauge
-PARALLEL_POOL_WORKERS = "parallel.pool_workers"  # gauge
-PARALLEL_POOL_UTILIZATION_PCT = "parallel.pool_utilization_pct"  # gauge
-PARALLEL_POOL_IDLE_MS = "parallel.pool_idle_ms"
-PARALLEL_TABLE_REBUILDS = "parallel.table_rebuilds"
-
-# Resident worker plane (repro.jobs.plane): fork-amortised map dispatch.
+# Resident worker plane (repro.jobs.plane): service job dispatch.
 # ctx_publishes counts context (circuit) ships to workers; ctx_reused the
 # maps that found their context already resident (the amortisation the
 # plane exists for); worker_respawns counts crash replacements;
 # task_retries the in-flight tasks requeued after a worker death;
 # stale_refusals the tasks a worker rejected because it held an older
-# context epoch. dispatch_overhead_ms is the high-water measured per-map
-# overhead (wall - busy/parallelism).
+# context epoch.
 PLANE_WORKERS_SPAWNED = "plane.workers_spawned"
 PLANE_WORKER_RESPAWNS = "plane.worker_respawns"
 PLANE_MAPS = "plane.maps"
@@ -150,7 +129,6 @@ PLANE_CTX_PUBLISHES = "plane.ctx_publishes"
 PLANE_CTX_REUSED = "plane.ctx_reused"
 PLANE_TASK_RETRIES = "plane.task_retries"
 PLANE_STALE_REFUSALS = "plane.stale_refusals"
-PLANE_DISPATCH_OVERHEAD_MS = "plane.dispatch_overhead_ms"  # gauge
 
 # Consistent-hash shard router (repro route): request routing and backend
 # health. primary_routed counts requests sent to the ring-owner backend of

@@ -61,8 +61,6 @@ EVENT_KINDS = frozenset(
         "spoly_selected",
         "divisor_hit",
         "mask_sweep",
-        "cone_start",
-        "cone_end",
         "word_relation_division",
         "cache_probe",
         "end",
@@ -240,8 +238,7 @@ def reset_after_fork() -> None:
 
     A forked worker shares the parent's open trace file descriptor;
     writing from both sides would interleave and corrupt the stream, so
-    children record nothing. Parent-side code re-emits deterministic
-    per-cone events at merge time instead (see ``_extract_parallel``).
+    children record nothing.
     """
     global _WRITER
     _WRITER = None

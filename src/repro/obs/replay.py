@@ -2,14 +2,13 @@
 
 A REDTRACE header is self-contained: it embeds the netlist text(s), their
 SHA-256 digests and every parameter the original run was launched with
-(op, field, seed, jobs, ...). Replay rebuilds the circuits from the
-embedded text, re-runs the same engine entry point with an in-memory
-recorder, and — under ``--diff`` — compares the fresh event stream
-against the recorded one record-by-record. Events carry no timestamps
-and the engine iterates in deterministic orders (the parallel cone merge
-sorts by bit index), so the byte-identical-replay contract holds: any
-divergence means the engine made a *different decision*, which is exactly
-what a kernel rewrite or distribution scheme must not cause.
+(op, field, seed, ...). Replay rebuilds the circuits from the embedded
+text, re-runs the same engine entry point with an in-memory recorder,
+and — under ``--diff`` — compares the fresh event stream against the
+recorded one record-by-record. Events carry no timestamps and the engine
+iterates in deterministic orders, so the byte-identical-replay contract
+holds: any divergence means the engine made a *different decision*, which
+is exactly what a kernel rewrite must not cause.
 
 Comparison canonicalizes each event as sorted-key JSON with the
 wall-clock header fields (:data:`repro.obs.redtrace.REPLAY_EXEMPT_FIELDS`)
@@ -136,7 +135,6 @@ def execute_header(header: Dict[str, Any]) -> List[Dict[str, Any]]:
                 impl,
                 field,
                 seed=params.get("seed"),
-                jobs=params.get("jobs"),
                 prepass=prepass,
             )
         elif op == "abstract":
@@ -153,7 +151,6 @@ def execute_header(header: Dict[str, Any]) -> List[Dict[str, Any]]:
                 field,
                 output_word=params.get("output_word"),
                 case2=params.get("case2", "linearized"),
-                jobs=params.get("jobs"),
             )
         else:
             raise ReplayError(f"cannot replay op {op!r}")

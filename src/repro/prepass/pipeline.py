@@ -53,9 +53,6 @@ class AbstractionProbe:
     source: str
     #: Prepass accounting when the prepass ran and survived its guard.
     prepass: Optional[PrepassResult]
-    #: The fresh extraction result (None on any kind of hit) — carries the
-    #: parallel-pool stats payloads don't.
-    result: Optional[object]
 
 
 def abstract_canonical(
@@ -64,7 +61,6 @@ def abstract_canonical(
     *,
     output_word: Optional[str] = None,
     case2: str = "linearized",
-    jobs: Optional[int] = None,
     cache=None,
     counters: Optional[Dict[str, int]] = None,
     inflight=None,
@@ -95,16 +91,12 @@ def abstract_canonical(
                 target = circuit
                 pres = None
 
-    fresh: list = []
-
     def compute() -> Dict:
         from ..jobs.cache import polynomial_payload
 
-        result = extract_canonical(
-            target, field, output_word=output_word, case2=case2, jobs=jobs
+        return polynomial_payload(
+            extract_canonical(target, field, output_word=output_word, case2=case2)
         )
-        fresh.append(result)
-        return polynomial_payload(result)
 
     if cache is None and inflight is None:
         payload, hit, source = compute(), False, "computed"
@@ -165,5 +157,4 @@ def abstract_canonical(
         hit=hit,
         source=source,
         prepass=pres,
-        result=fresh[0] if fresh else None,
     )

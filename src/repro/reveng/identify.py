@@ -70,7 +70,6 @@ def identify_function(
     forms: Sequence[str] = (),
     case2: str = "linearized",
     cache: Optional[CanonicalPolyCache] = None,
-    jobs: Optional[int] = None,
     inflight=None,
     prepass: Optional[bool] = None,
 ) -> IdentifyResult:
@@ -95,7 +94,7 @@ def identify_function(
                 probe_circuit = circuit  # guard tripped: probe the raw netlist
     with span("reveng_identify", k=field.k):
         polynomial, record = probe_canonical(
-            probe_circuit, field, case2=case2, cache=cache, jobs=jobs, inflight=inflight
+            probe_circuit, field, case2=case2, cache=cache, inflight=inflight
         )
         matches = match_forms(polynomial, field, words, forms=forms)
     if matches:

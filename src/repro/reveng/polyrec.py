@@ -105,7 +105,6 @@ def recover_polynomial(
     cache: Optional[CanonicalPolyCache] = None,
     all_candidates: bool = False,
     limit: Optional[int] = None,
-    jobs: Optional[int] = None,
     inflight=None,
     prepass: Optional[bool] = None,
 ) -> RevengResult:
@@ -169,7 +168,6 @@ def recover_polynomial(
                 field,
                 case2=case2,
                 cache=cache,
-                jobs=jobs,
                 inflight=inflight,
             )
             probed += 1

@@ -65,7 +65,6 @@ def probe_canonical(
     case2: str = "linearized",
     output_word: Optional[str] = None,
     cache: Optional[CanonicalPolyCache] = None,
-    jobs: Optional[int] = None,
     inflight=None,
 ) -> Tuple[Polynomial, ProbeRecord]:
     """Canonical polynomial of ``circuit`` under ``field``, cache-aware.
@@ -73,14 +72,13 @@ def probe_canonical(
     Returns ``(polynomial, record)`` where the record carries the probe's
     cost (wall seconds, cache hit, term count). Mirrors the executor's
     ``_cached_canonical`` contract: ``inflight`` is an optional
-    single-flight group for in-process dedup, ``jobs`` selects the
-    cone-sliced parallel extraction path on a miss.
+    single-flight group for in-process dedup.
     """
     start = time.perf_counter()
 
     def compute() -> Dict:
         result = extract_canonical(
-            circuit, field, output_word=output_word, case2=case2, jobs=jobs
+            circuit, field, output_word=output_word, case2=case2
         )
         return polynomial_payload(result)
 

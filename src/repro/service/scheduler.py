@@ -33,9 +33,7 @@ standing advantages of a resident service are kept:
 Any :class:`~repro.jobs.plane.PoolError` (plane wedged, context not
 picklable — e.g. monkeypatched job bodies in tests) falls back to running
 the job inline on the dispatcher thread, which is exactly the old
-behaviour; ``dispatch="inline"`` forces that mode. Inside the cone-sliced
-abstraction nothing changes: plane workers are daemonic, so a job body
-asking for parallel abstraction degrades to serial automatically.
+behaviour; ``dispatch="inline"`` forces that mode.
 """
 
 from __future__ import annotations

@@ -63,7 +63,6 @@ _KEYED_FIELDS = (
     "k",
     "modulus",
     "case2",
-    "jobs",
     "output_word",
     "spec",
     "impl",
@@ -169,7 +168,7 @@ def _validate_submission(kind: str, body: Dict) -> Tuple[Dict, int, Optional[flo
             raise RequestError(400, f"timeout must be > 0, got {timeout}")
 
     allowed = {
-        "k", "modulus", "case2", "jobs", "output_word", "prepass",
+        "k", "modulus", "case2", "output_word", "prepass",
         "spec", "impl", "netlist", "spec_text", "impl_text", "netlist_text",
     }
     if kind == "reveng":

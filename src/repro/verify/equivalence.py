@@ -46,15 +46,8 @@ def canonical_polynomial(
     field: GF2m,
     output_word: Optional[str] = None,
     case2: str = "linearized",
-    jobs: Optional[int] = None,
 ) -> "tuple[Polynomial, Dict[str, object]]":
-    """Canonical polynomial of a flat or hierarchical design, plus stats.
-
-    ``jobs`` enables the cone-sliced parallel abstraction for flat circuits
-    (see :func:`repro.core.extract_canonical`). Hierarchical designs are
-    already decomposed block-by-block, and each block sits below the
-    parallel cost threshold, so they ignore it.
-    """
+    """Canonical polynomial of a flat or hierarchical design, plus stats."""
     if isinstance(design, HierarchicalCircuit):
         result = abstract_hierarchy(design, field, case2=case2)
         if output_word is None:
@@ -75,24 +68,13 @@ def canonical_polynomial(
             "seconds": result.total_seconds,
         }
         return result.polynomials[output_word], stats
-    result = extract_canonical(
-        design, field, output_word=output_word, case2=case2, jobs=jobs
-    )
+    result = extract_canonical(design, field, output_word=output_word, case2=case2)
     stats = {
         "case": result.stats.case,
         "seconds": result.stats.seconds,
         "peak_terms": result.stats.peak_terms,
         "gates": result.stats.gate_count,
     }
-    if result.stats.jobs:
-        stats["parallel"] = {
-            "jobs": result.stats.jobs,
-            "cones": result.stats.cones,
-            "cone_division_steps": list(result.stats.cone_division_steps),
-            "pool_utilization_pct": round(result.stats.pool_utilization_pct, 1),
-            "pool_idle_seconds": round(result.stats.pool_idle_seconds, 4),
-            "table_rebuilds": result.stats.table_rebuilds,
-        }
     return result.polynomial, stats
 
 
@@ -178,7 +160,6 @@ def _side_polynomial(
     field: GF2m,
     output_word: Optional[str],
     case2: str,
-    jobs: Optional[int],
     cache,
     counters,
     inflight,
@@ -192,7 +173,7 @@ def _side_polynomial(
     Returns ``(polynomial, stats, cache_hit)``.
     """
     if isinstance(design, HierarchicalCircuit):
-        poly, stats = canonical_polynomial(design, field, output_word, case2, jobs=jobs)
+        poly, stats = canonical_polynomial(design, field, output_word, case2)
         return poly, stats, False
 
     from ..prepass import abstract_canonical
@@ -203,7 +184,6 @@ def _side_polynomial(
         field,
         output_word=output_word,
         case2=case2,
-        jobs=jobs,
         cache=cache,
         counters=counters,
         inflight=inflight,
@@ -213,16 +193,6 @@ def _side_polynomial(
     stats: Dict[str, object] = dict(probe.payload["stats"])
     stats["cache_hit"] = probe.hit
     stats["output_word"] = probe.payload["output_word"]
-    result = probe.result
-    if result is not None and result.stats.jobs:
-        stats["parallel"] = {
-            "jobs": result.stats.jobs,
-            "cones": result.stats.cones,
-            "cone_division_steps": list(result.stats.cone_division_steps),
-            "pool_utilization_pct": round(result.stats.pool_utilization_pct, 1),
-            "pool_idle_seconds": round(result.stats.pool_idle_seconds, 4),
-            "table_rebuilds": result.stats.table_rebuilds,
-        }
     if probe.prepass is not None:
         stats["prepass"] = probe.prepass.stats()
     return poly, stats, probe.hit
@@ -237,7 +207,6 @@ def verify_equivalence(
     word_map: Optional[Dict[str, str]] = None,
     case2: str = "linearized",
     seed: Optional[int] = None,
-    jobs: Optional[int] = None,
     cache=None,
     counters: Optional[Dict[str, int]] = None,
     inflight=None,
@@ -249,9 +218,7 @@ def verify_equivalence(
     designs use different names (identity by default). Output words may
     differ in name (``Z`` vs ``G``); only the polynomials are compared.
     ``seed`` makes the counterexample search reproducible across batch
-    runs; the default keeps the historical fixed-seed behavior. ``jobs``
-    turns on cone-sliced parallel abstraction for flat designs — both
-    sides still yield bit-identical canonical polynomials.
+    runs; the default keeps the historical fixed-seed behavior.
 
     ``cache`` (a :class:`~repro.jobs.cache.CanonicalPolyCache`),
     ``counters`` (mutated hit/miss accounting dict) and ``inflight``
@@ -273,11 +240,11 @@ def verify_equivalence(
 
     with span("abstract", side="spec"):
         spec_poly, spec_stats, spec_hit = _side_polynomial(
-            spec, field, spec_output, case2, jobs, cache, counters, inflight, prepass
+            spec, field, spec_output, case2, cache, counters, inflight, prepass
         )
     with span("abstract", side="impl"):
         impl_poly, impl_stats, impl_hit = _side_polynomial(
-            impl, field, impl_output, case2, jobs, cache, counters, inflight, prepass
+            impl, field, impl_output, case2, cache, counters, inflight, prepass
         )
 
     with span("coeff_match"):

@@ -70,6 +70,20 @@ class TestConstruction:
         names = {c.fresh_net() for _ in range(100)}
         assert len(names) == 100
 
+    def test_fresh_net_counts_per_circuit(self):
+        # Names come from the circuit being built, not from what else ran
+        # in the process, so a regenerated circuit is identical text.
+        from repro.circuits import to_verilog
+        from repro.gf import GF2m
+        from repro.synth import mastrovito_multiplier
+
+        first = to_verilog(mastrovito_multiplier(GF2m(8)))
+        second = to_verilog(mastrovito_multiplier(GF2m(8)))
+        assert first == second
+        c = Circuit()
+        c.add_input("n1")
+        assert c.fresh_net() == "n2"
+
 
 class TestAccessors:
     def test_counts(self):

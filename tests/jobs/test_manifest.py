@@ -90,3 +90,17 @@ def test_missing_file_and_bad_json(tmp_path):
     bad.write_text("{")
     with pytest.raises(ManifestError, match="not valid JSON"):
         load_manifest(str(bad))
+
+
+def test_verify_job_with_jobs_field_is_rejected():
+    # "jobs" once asked for cone-parallel abstraction inside a job; that
+    # path is gone, so an old manifest fails loudly instead of silently
+    # running serial.
+    with pytest.raises(ManifestError, match="unknown field.*jobs"):
+        manifest_from_dict(
+            {
+                "jobs": [
+                    {"type": "verify", "spec": "a.v", "impl": "b.v", "k": 4, "jobs": 2}
+                ]
+            }
+        )

@@ -90,32 +90,6 @@ class TestHappyPath:
         assert result["verdict"] == "not_equivalent"
         assert result["counterexample"] is not None
 
-    def test_jobs_param_survives_daemonic_worker(self, write_manifest, monkeypatch):
-        # Batch workers are daemonic and cannot fork a cone pool; a verify
-        # job asking for parallel abstraction (jobs>=2 on a circuit above
-        # the parallel threshold) must fall back to serial inside the
-        # worker instead of dying on pool startup.
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_GATES", "1")
-        manifest = load_manifest(
-            write_manifest(
-                [
-                    {
-                        "id": "par",
-                        "type": "verify",
-                        "spec": "mastrovito_4.v",
-                        "impl": "montgomery_4.v",
-                        "k": 4,
-                        "jobs": 2,
-                    }
-                ]
-            )
-        )
-        report = run_batch(manifest, workers=1)
-        assert report.ok
-        (result,) = report.results
-        assert result["status"] == "ok"
-        assert result["verdict"] == "equivalent"
-
 
 class TestDeadlines:
     def test_stuck_job_is_killed_siblings_complete(self, write_manifest, tmp_path):
@@ -369,4 +343,3 @@ class TestCostModelOrdering:
         )
         assert job["k"] == 4
         assert job["gates"] > 0
-        assert "cones" in job

@@ -3,18 +3,14 @@
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.jobs.plane import (
-    PoolError,
-    WorkerPlane,
-    get_plane,
-    pack_context,
-    reset_plane,
-)
+from repro.jobs.plane import PoolError, WorkerPlane, get_plane, reset_plane
 
 
 def echo(context, index):
@@ -61,10 +57,9 @@ class TestPlaneLifecycle:
         assert plane.workers_alive >= 2
 
     def test_context_published_once_per_circuit(self, plane):
-        packed = pack_context(echo, "ctx-a", tracing=False)
-        plane.map(echo, "ctx-a", [0], workers=1, packed=packed)
+        plane.map(echo, "ctx-a", [0], workers=1, tracing=False)
         epoch_before = plane._ctx[1]
-        plane.map(echo, "ctx-a", [1], workers=1, packed=packed)
+        plane.map(echo, "ctx-a", [1], workers=1, tracing=False)
         assert plane._ctx[1] == epoch_before  # same blob, same epoch
         plane.map(echo, "ctx-b", [0], workers=1)
         assert plane._ctx[1] != epoch_before  # new circuit, new epoch
@@ -124,7 +119,7 @@ class TestDaemonicFallback:
     def test_daemonic_child_gets_pool_error(self):
         # A daemonic process (a plane worker, a batch-runner job) cannot
         # fork children; asking for a plane must raise PoolError so callers
-        # fall back to serial, like every other map failure.
+        # run the work inline, like every other map failure.
         def probe(queue):
             try:
                 get_plane()
@@ -140,8 +135,8 @@ class TestDaemonicFallback:
         assert queue.get(timeout=5) == "poolerror"
 
     def test_daemonic_parity_with_serial(self):
-        # End to end: extract_canonical inside a daemonic process silently
-        # runs serial and produces the same polynomial.
+        # End to end: extract_canonical inside a daemonic process (a batch
+        # job or a plane worker) produces the same polynomial.
         from repro.core.abstraction import extract_canonical
         from repro.gf import GF2m
         from repro.synth.mastrovito import mastrovito_multiplier
@@ -151,7 +146,7 @@ class TestDaemonicFallback:
         parent = extract_canonical(circuit, field)
 
         def probe(queue):
-            result = extract_canonical(circuit, field, jobs=2)
+            result = extract_canonical(circuit, field)
             queue.put(str(result.polynomial))
 
         ctx = multiprocessing.get_context("fork")
@@ -179,3 +174,53 @@ class TestForkHygiene:
         proc.join(timeout=10)
         assert queue.get(timeout=5) is True
         reset_plane()
+
+
+_HOST_SCRIPT = """
+import sys, time
+from repro.jobs.plane import get_plane
+from tests.jobs.test_worker_plane import report_pid
+
+[res] = get_plane().map(report_pid, None, [0], workers=1)
+print(res.payload, flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+class TestHostDeath:
+    def test_worker_exits_when_host_is_sigkilled(self):
+        # A host killed outright never runs its plane shutdown; the worker
+        # it forked must notice and exit instead of living on as an orphan.
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+        )
+        host = subprocess.Popen(
+            [sys.executable, "-c", _HOST_SCRIPT],
+            stdout=subprocess.PIPE,
+            env=env,
+            cwd=root,
+            text=True,
+        )
+        try:
+            worker_pid = int(host.stdout.readline())
+            assert _running(worker_pid)
+        finally:
+            host.kill()
+            host.wait(timeout=10)
+            host.stdout.close()
+        deadline = time.monotonic() + 10.0
+        while _running(worker_pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _running(worker_pid)

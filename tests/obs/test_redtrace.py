@@ -147,13 +147,13 @@ class TestEngineInstrumentation:
         assert "mask_sweep" in kinds
         assert kinds <= redtrace.EVENT_KINDS
 
-    def _record_extract(self, tmp_path, name, jobs=None):
+    def _record_extract(self, tmp_path, name):
         from repro.obs.replay import canonical_event
 
         field = GF2m(8)
         path = str(tmp_path / f"{name}.redtrace")
         redtrace.start_recording(path=path, op="abstract", params={"k": 8})
-        extract_canonical(mastrovito_multiplier(field), field, jobs=jobs)
+        extract_canonical(mastrovito_multiplier(field), field)
         redtrace.stop_recording()
         return [canonical_event(e) for e in redtrace.read_trace(path)]
 
@@ -161,18 +161,6 @@ class TestEngineInstrumentation:
         assert self._record_extract(tmp_path, "a") == self._record_extract(
             tmp_path, "b"
         )
-
-    def test_parallel_cone_events_are_deterministic(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_GATES", "1")
-        monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
-        first = self._record_extract(tmp_path, "a", jobs=2)
-        assert first == self._record_extract(tmp_path, "b", jobs=2)
-        events = [json.loads(line) for line in first]
-        starts = [e for e in events if e["ev"] == "cone_start"]
-        ends = [e for e in events if e["ev"] == "cone_end"]
-        assert len(starts) == len(ends) == 8
-        # cone_end records arrive in bit order regardless of worker timing
-        assert [e["bit"] for e in ends] == sorted(e["bit"] for e in ends)
 
     def test_verify_records_both_sides(self, tmp_path):
         field = GF2m(8)

@@ -84,6 +84,26 @@ class TestCliRoundTrip:
         assert "divergence at event" in err
         assert "recorded:" in err and "replayed:" in err
 
+    def test_cone_events_no_longer_replay(self, recorded, tmp_path, capsys):
+        # Traces recorded on the removed cone-parallel path carry
+        # cone_start/cone_end events; replay must refuse them, not pass.
+        lines = open(recorded).read().splitlines()
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            if record["ev"] == "mask_sweep":
+                lines[i] = json.dumps(
+                    {"ev": "cone_start", "seq": record["seq"], "bit": 0,
+                     "root": "z0", "gates": 1}
+                )
+                break
+        else:
+            pytest.fail("no mask_sweep event recorded")
+        old = str(tmp_path / "cones.redtrace")
+        with open(old, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        assert main(["replay", old, "--diff"]) == 2
+        assert "cone_start" in capsys.readouterr().err
+
     def test_tampered_netlist_text_fails_sha_check(self, recorded, tmp_path, capsys):
         lines = open(recorded).read().splitlines()
         header = json.loads(lines[0])

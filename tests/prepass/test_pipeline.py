@@ -74,7 +74,6 @@ def test_prepass_agrees_on_buggy_designs(gf16):
     buggy._gates[victim] = type(gate)(victim, GateType.OR, gate.inputs)
     buggy._topo_cache = None
     buggy._levels_cache = None
-    buggy._plane_cache = None
     on = verify_equivalence(spec, buggy, gf16, prepass=True, seed=1)
     off = verify_equivalence(spec, buggy, gf16, prepass=False, seed=1)
     assert on.status == off.status
@@ -182,7 +181,6 @@ def test_guard_rejects_a_functional_change(gf16):
     )
     broken._topo_cache = None
     broken._levels_cache = None
-    broken._plane_cache = None
     with pytest.raises(PrepassError):
         differential_guard(circuit, broken)
 
@@ -220,7 +218,7 @@ def test_run_verify_record_schema(tmp_path, gf16):
     expected = {
         "verdict", "counterexample", "spec_polynomial", "spec_terms",
         "impl_terms", "spec_cache_hit", "impl_cache_hit", "spec_case",
-        "impl_case", "k", "gates", "cones", "prepass",
+        "impl_case", "k", "gates", "prepass",
     }
     assert expected <= set(record)
     assert record["verdict"] == "equivalent"

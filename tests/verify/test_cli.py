@@ -133,3 +133,22 @@ class TestVerify:
             )
             == 2
         )
+
+
+class TestRemovedJobsOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{spec}", "{impl}", "-k", "4", "--jobs", "2"],
+            ["abstract", "{spec}", "-k", "4", "--jobs", "2"],
+            ["reveng", "poly", "{spec}", "--jobs", "2"],
+        ],
+    )
+    def test_jobs_is_a_usage_error(self, spec_path, impl_path, argv, capsys):
+        # Abstraction has one path, the serial sweep: asking for cone
+        # workers is an argparse error, not a silently ignored flag.
+        argv = [a.format(spec=spec_path, impl=impl_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
